@@ -1,0 +1,94 @@
+"""Frozen outputs that a refactor of the decomposition must reproduce exactly.
+
+Two records live beside this script:
+
+- ``montecarlo_n2000.csv``: the CSV of ``run_experiment(n=2000, k=2, reps=40,
+  seed=20260809, collect=all)`` with the wall-time column ``ms_elapsed``
+  removed;
+- ``replicate_n100000.json``: every statistic of one full replicate at
+  n = 10^5, large vertex arrays as SHA-256 digests of their little-endian
+  int64 bytes.  It uses ``RngSpec(20260809, 8)``, the first stream of this
+  seed whose replicate has a cycle outside the giant and a nonempty middle
+  layer, so cycle enumeration and the longest-path search through a
+  nontrivial component are both pinned.
+
+``tests/test_golden.py`` recomputes both and compares them byte for byte.
+Regenerate (only when a change is meant to alter outputs) from the repository
+root with::
+
+    PYTHONPATH=src python3 tests/golden/make_golden.py
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+
+from kout.decompose import decompose
+from kout.digraph import RngSpec, generate
+from kout.harness import CSV_COLUMNS, ExperimentConfig, _cell, run_experiment
+from kout.outside import outside_report
+
+HERE = Path(__file__).resolve().parent
+CSV_PATH = HERE / "montecarlo_n2000.csv"
+JSON_PATH = HERE / "replicate_n100000.json"
+SEED = 20260809
+REPLICATE_STREAM = 8
+
+
+def _digest(arr: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(arr, dtype="<i8").tobytes()).hexdigest()
+
+
+def montecarlo_csv() -> str:
+    config = ExperimentConfig(n=2000, k=2, reps=40, seed=SEED)
+    records = run_experiment(config, workers=1)
+    columns = [c for c in CSV_COLUMNS if c != "ms_elapsed"]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for r in records:
+        writer.writerow([_cell(getattr(r, c)) for c in columns])
+    return buf.getvalue()
+
+
+def replicate_json() -> str:
+    g = generate(100_000, 2, RngSpec(SEED, REPLICATE_STREAM))
+    dec = decompose(g)
+    rep = outside_report(g, dec)
+    doc = {
+        "n": g.n,
+        "k": g.k,
+        "n_components": dec.n_components,
+        "giant_size": int(dec.giant.size),
+        "giant_sha256": _digest(dec.giant),
+        "core_size": int(dec.one_in_core.size),
+        "core_sha256": _digest(dec.one_in_core),
+        "all_reach_giant": bool(dec.all_reach_giant),
+        "cycles": rep.cycles,
+        "vertex_disjoint": rep.vertex_disjoint,
+        "longest_cycle": rep.longest_cycle,
+        "spectra_sizes_len": int(rep.spectra_sizes.size),
+        "spectra_sizes_sum": int(rep.spectra_sizes.sum()),
+        "spectra_sizes_sha256": _digest(rep.spectra_sizes),
+        "max_spectrum": rep.max_spectrum,
+        "arc_excess_violations": rep.arc_excess_violations,
+        "w": rep.w,
+        "w_unreachable": rep.w_unreachable,
+        "d": rep.d,
+        "m": rep.m,
+        "max_full_spectrum": rep.max_full_spectrum,
+        "spectrum_of_zero": rep.spectrum_of_zero,
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+if __name__ == "__main__":
+    CSV_PATH.write_text(montecarlo_csv(), newline="")
+    JSON_PATH.write_text(replicate_json())
+    print(f"wrote {CSV_PATH.name} and {JSON_PATH.name}")
