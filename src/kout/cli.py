@@ -2,7 +2,9 @@
 
 Subcommands: constants, generate, analyze, distance, phase, surjection,
 oracle (enumerate | stirling | gw), montecarlo.  ``montecarlo`` exits 0 on
-success, 2 on an invariant violation, 3 on an I/O error.
+success, 2 on an invariant violation, 3 on an I/O error, 4 when a replicate
+hits the cycle or component cap of the exact search, and 5 on an invalid
+``KOUT_THREADS``; each failure is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import digraph, harness, oracle
 from .constants import derive_constants, solve_tau
 from .decompose import decompose
 from .distance import phase_sweep, typical_distance
-from .errors import InvariantViolationError
+from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
 from .outside import outside_report
 from .surjection import sample_surjection
 
@@ -257,6 +259,12 @@ def _cmd_montecarlo(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except (CycleCapError, ComponentCapError) as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 4
+    except SettingError as exc:
+        print(f"invalid setting: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

@@ -5,19 +5,25 @@ the closed components (condensation sinks), the giant (largest closed SCC,
 ties broken toward the smallest contained vertex label), and the one-in-core
 (survivors of iterated deletion of in-degree-0 vertices).
 
-Component ids are numbered in reverse topological order of the condensation
-(every condensation arc goes from a higher id to a lower one), with ties
-broken deterministically by the smallest vertex label in the component.  The
-numbering is therefore a pure function of the digraph, independent of which
-SCC backend ran: graphs below ``_SCIPY_MIN_N`` use an explicit-stack Tarjan
-(cheaper than building a sparse matrix), larger ones go through
-``scipy.sparse.csgraph``, which is also recursion-free and holds up at n=10^6.
+Component ids are ordered by (height, smallest vertex label), where the
+height of a component is the length of the longest condensation path from it
+to a sink.  Every condensation arc lowers the height, so it goes from a
+higher id to a lower one: the numbering is reverse topological and a pure
+function of the digraph.  The closed components are exactly those of height
+0, so they hold ids 0 .. (#closed - 1) in order of their smallest label.
+Members and the condensation are stored flat, as CSR arrays.
+
+SCC labels come from ``scipy.sparse.csgraph`` at every size (recursion-free,
+holds up at n=10^6).  Heights and the one-in-core come from level-synchronous
+peels, one numpy pass per level; a random k-out digraph has O(log n) levels
+whp.  Every vertex reaches some closed component, so every vertex reaches the
+giant iff the giant is the only closed component.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,16 +41,16 @@ __all__ = [
     "decompose",
 ]
 
-_SCIPY_MIN_N = 64
-
 
 @dataclass
 class Decomposition:
     """The full structural decomposition of one digraph."""
 
     scc_id: np.ndarray  # (n,) component id per vertex, reverse-topo numbering
-    scc_members: list[np.ndarray]  # ascending vertex ids, indexed by component id
-    condensation: list[np.ndarray]  # per-component sorted successor ids, deduplicated
+    member_indptr: np.ndarray  # (n_scc + 1,) CSR row pointers into members
+    members: np.ndarray  # (n,) vertex ids grouped by component id, ascending within each
+    cond_indptr: np.ndarray  # (n_scc + 1,) CSR row pointers of the condensation
+    cond_indices: np.ndarray  # per-component sorted successor ids, deduplicated
     closed: np.ndarray  # (n_scc,) True iff the component has no outgoing arc
     giant: np.ndarray  # sorted vertex ids of the largest closed SCC
     one_in_core: np.ndarray  # sorted vertex ids surviving in-degree-0 peeling
@@ -52,158 +58,112 @@ class Decomposition:
 
     @property
     def n_components(self) -> int:
-        return len(self.scc_members)
+        return self.closed.size
 
 
 # ---------------------------------------------------------------------------
-# SCC backends
+# CSR helpers
 
 
-def _tarjan_labels(endpoints: np.ndarray) -> tuple[np.ndarray, int]:
-    """Iterative Tarjan; labels come out in completion order (sinks first)."""
+def _indptr(rows: np.ndarray, nrows: int) -> np.ndarray:
+    """Row pointers for entries whose (sorted) row ids are ``rows``."""
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    return indptr
+
+
+def _dense_csr(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, k = endpoints.shape
-    adj = endpoints.tolist()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    ncomp = 0
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v = frame[0]
-            if frame[1] == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            row = adj[v]
-            i = frame[1]
-            while i < k:
-                u = row[i]
-                i += 1
-                if index[u] == -1:
-                    frame[1] = i
-                    work.append([u, 0])
-                    descended = True
-                    break
-                if on_stack[u] and index[u] < low[v]:
-                    low[v] = index[u]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp[u] = ncomp
-                    if u == v:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return np.asarray(comp, dtype=np.int64), ncomp
+    return np.arange(0, n * k + 1, k), endpoints.ravel()
 
 
-def _scipy_labels(endpoints: np.ndarray) -> tuple[np.ndarray, int]:
-    n, k = endpoints.shape
+def _rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entries of the given CSR rows, concatenated."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return indices[shift + np.arange(shift.size)]
+
+
+def _split(values: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
+    bounds = indptr.tolist()
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _scc_labels(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, np.ndarray]:
+    """(number of SCCs, arbitrary SCC label per vertex) of a CSR digraph."""
+    n = indptr.size - 1
     mat = csr_matrix(
-        (
-            np.ones(n * k, dtype=np.int8),
-            endpoints.ravel(),
-            np.arange(0, n * k + 1, k),
-        ),
-        shape=(n, n),
+        (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n)
     )
     ncomp, labels = _cs_connected_components(mat, directed=True, connection="strong")
-    return labels.astype(np.int64), int(ncomp)
+    return int(ncomp), labels.astype(np.int64)
 
 
-def _raw_labels(endpoints: np.ndarray) -> tuple[np.ndarray, int]:
-    if endpoints.shape[0] < _SCIPY_MIN_N:
-        return _tarjan_labels(endpoints)
-    return _scipy_labels(endpoints)
-
-
-def _component_edges(
-    endpoints: np.ndarray, labels: np.ndarray, ncomp: int
+def _quotient(
+    indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray, nlabels: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicated condensation arcs (self-arcs removed), in raw label space."""
-    k = endpoints.shape[1]
-    src = np.repeat(labels, k)
-    dst = labels[endpoints.ravel()]
+    """CSR of the deduplicated arcs between distinct labels, rows sorted."""
+    src = np.repeat(labels, np.diff(indptr))
+    dst = labels[indices]
     ext = src != dst
-    if not ext.any():
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    keys = np.unique(src[ext] * ncomp + dst[ext])
-    return keys // ncomp, keys % ncomp
+    keys = np.sort(src[ext] * nlabels + dst[ext])
+    # dedup by hand: np.unique is an order of magnitude slower on these keys
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    return _indptr(keys // nlabels, nlabels), keys % nlabels
 
 
-def _canonical_ids(
-    endpoints: np.ndarray, labels: np.ndarray, ncomp: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Renumber raw labels into the canonical reverse-topological order.
+def _peel(indptr: np.ndarray, indices: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Level-synchronous peel: round 0 deletes every node of ``deg`` 0, and
+    deleting node x lowers ``deg`` once per entry of its CSR row.  Returns the
+    round in which each node went, -1 for the survivors."""
+    deg = deg.copy()
+    level = np.full(deg.size, -1, dtype=np.int64)
+    frontier = np.flatnonzero(deg == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        hit, times = np.unique(_rows(indptr, indices, frontier), return_counts=True)
+        deg[hit] -= times
+        frontier = hit[deg[hit] == 0]
+        depth += 1
+    return level
 
-    Returns (scc_id per vertex, condensation src, condensation dst), the arc
-    arrays already mapped to canonical ids.
-    """
-    e_src, e_dst = _component_edges(endpoints, labels, ncomp)
-    # Smallest vertex label per raw component: vertices are scanned in
-    # ascending order, so the first occurrence of each label is its minimum.
-    _, first_idx = np.unique(labels, return_index=True)
-    min_label = first_idx.tolist()
 
-    out_remaining = np.bincount(e_src, minlength=ncomp).tolist()
-    pred_indptr = np.zeros(ncomp + 1, dtype=np.int64)
-    np.cumsum(np.bincount(e_dst, minlength=ncomp), out=pred_indptr[1:])
-    preds = e_src[np.argsort(e_dst, kind="stable")].tolist()
-    indptr = pred_indptr.tolist()
+class _Components(NamedTuple):
+    comp: np.ndarray  # (n,) canonical SCC id per vertex
+    height: np.ndarray  # (ncomp,) height per id, nondecreasing in the id
+    indptr: np.ndarray  # condensation CSR: sorted, deduplicated successor ids
+    indices: np.ndarray
 
-    heap = [(min_label[c], c) for c in range(ncomp) if out_remaining[c] == 0]
-    heapq.heapify(heap)
-    new_id = [-1] * ncomp
-    nxt = 0
-    while heap:
-        _, c = heapq.heappop(heap)
-        new_id[c] = nxt
-        nxt += 1
-        for j in range(indptr[c], indptr[c + 1]):
-            p = preds[j]
-            out_remaining[p] -= 1
-            if out_remaining[p] == 0:
-                heapq.heappush(heap, (min_label[p], p))
-    if nxt != ncomp:
+
+def _components(indptr: np.ndarray, indices: np.ndarray) -> _Components:
+    """Canonically numbered SCCs and condensation of a CSR digraph."""
+    n = indptr.size - 1
+    ncomp, raw = _scc_labels(indptr, indices)
+    q_indptr, q_dst = _quotient(indptr, indices, raw, ncomp)
+    q_src = np.repeat(np.arange(ncomp), np.diff(q_indptr))
+    # heights: peel sinks, walking each condensation arc backwards
+    preds = q_src[np.argsort(q_dst, kind="stable")]
+    height = _peel(_indptr(q_dst, ncomp), preds, np.diff(q_indptr))
+    if (height < 0).any():
         raise AssertionError("condensation had a cycle; SCC labels are inconsistent")
-    new_id_arr = np.asarray(new_id, dtype=np.int64)
-    return new_id_arr[labels], new_id_arr[e_src], new_id_arr[e_dst]
+    low = np.full(ncomp, n, dtype=np.int64)
+    np.minimum.at(low, raw, np.arange(n))
+    order = np.lexsort((low, height))
+    canon = np.empty(ncomp, dtype=np.int64)
+    canon[order] = np.arange(ncomp)
+    keys = np.sort(canon[q_src] * ncomp + canon[q_dst])
+    return _Components(
+        canon[raw], height[order], _indptr(keys // ncomp, ncomp), keys % ncomp
+    )
 
 
-def _members_by_id(scc_id: np.ndarray, ncomp: int) -> list[np.ndarray]:
-    order = np.argsort(scc_id, kind="stable")
-    counts = np.bincount(scc_id, minlength=ncomp)
-    return np.split(order, np.cumsum(counts)[:-1])
-
-
-def _successor_lists(
-    c_src: np.ndarray, c_dst: np.ndarray, ncomp: int
-) -> list[np.ndarray]:
-    succ: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * ncomp
-    if c_src.size:
-        order = np.lexsort((c_dst, c_src))
-        s, d = c_src[order], c_dst[order]
-        counts = np.bincount(s, minlength=ncomp)
-        chunks = np.split(d, np.cumsum(counts)[:-1])
-        succ = list(chunks)
-    return succ
+def _core_mask(endpoints: np.ndarray) -> np.ndarray:
+    indeg = np.bincount(endpoints.ravel(), minlength=endpoints.shape[0])
+    return _peel(*_dense_csr(endpoints), indeg) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +172,9 @@ def _successor_lists(
 
 def scc(g: KOutDigraph) -> tuple[np.ndarray, list[np.ndarray]]:
     """Exact SCCs; ids in reverse topological order of the condensation."""
-    labels, ncomp = _raw_labels(g.endpoints)
-    scc_id, _, _ = _canonical_ids(g.endpoints, labels, ncomp)
-    return scc_id, _members_by_id(scc_id, ncomp)
+    cs = _components(*_dense_csr(g.endpoints))
+    members = np.argsort(cs.comp, kind="stable")
+    return cs.comp, _split(members, _indptr(cs.comp, cs.height.size))
 
 
 def condense(
@@ -222,75 +182,23 @@ def condense(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Deduplicated condensation adjacency plus per-component closed flags."""
     scc_id, members = sccs
-    ncomp = len(members)
-    c_src, c_dst = _component_edges(g.endpoints, scc_id, ncomp)
-    succ = _successor_lists(c_src, c_dst, ncomp)
-    closed = np.array([s.size == 0 for s in succ], dtype=bool)
-    return succ, closed
-
-
-def _giant_from(members: list[np.ndarray], closed: np.ndarray) -> np.ndarray:
-    best = None
-    best_key = None
-    for cid in np.flatnonzero(closed):
-        m = members[cid]
-        key = (m.size, -int(m[0]))  # members ascending, m[0] is the min label
-        if best_key is None or key > best_key:
-            best, best_key = m, key
-    assert best is not None  # a finite DAG always has a sink
-    return best
+    indptr, indices = _quotient(*_dense_csr(g.endpoints), scc_id, len(members))
+    return _split(indices, indptr), np.diff(indptr) == 0
 
 
 def giant(g: KOutDigraph) -> np.ndarray:
     """Vertex set of the largest closed SCC (ties: smallest contained label)."""
-    sccs = scc(g)
-    _, closed = condense(g, sccs)
-    return _giant_from(sccs[1], closed)
+    return decompose(g).giant
 
 
-def one_in_core(
-    g: KOutDigraph, *, shuffle_rng: np.random.Generator | None = None
-) -> np.ndarray:
+def one_in_core(g: KOutDigraph) -> np.ndarray:
     """Survivors of repeatedly deleting vertices with zero surviving in-degree.
 
     The result is the unique maximal vertex set inducing minimum in-degree
     >= 1 (equivalently: closed and surjective), so it is independent of the
-    deletion order; ``shuffle_rng`` randomizes the processing order and is
-    only useful for exercising exactly that invariant in tests.
+    deletion order.
     """
-    return np.flatnonzero(_core_mask(g.endpoints, shuffle_rng))
-
-
-def _core_mask(
-    endpoints: np.ndarray, shuffle_rng: np.random.Generator | None = None
-) -> np.ndarray:
-    n, k = endpoints.shape
-    indeg_arr = np.bincount(endpoints.ravel(), minlength=n)
-    queue = np.flatnonzero(indeg_arr == 0).tolist()
-    indeg = indeg_arr.tolist()
-    removed = np.zeros(n, dtype=bool)
-    rows = endpoints.tolist()
-    while queue:
-        if shuffle_rng is not None and len(queue) > 1:
-            j = int(shuffle_rng.integers(len(queue)))
-            queue[j], queue[-1] = queue[-1], queue[j]
-        v = queue.pop()
-        removed[v] = True
-        for u in rows[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0 and not removed[u]:
-                queue.append(u)
-    return ~removed
-
-
-def _all_reach(endpoints: np.ndarray, target_mask: np.ndarray) -> bool:
-    """True iff every vertex has a directed path into the target set."""
-    visited = target_mask.copy()
-    while True:
-        hits = visited[endpoints].any(axis=1) & ~visited
-        if not hits.any():
-            return bool(visited.all())
-        visited |= hits
+    return np.flatnonzero(_core_mask(g.endpoints))
 
 
 def layers(g: KOutDigraph) -> tuple[int, int, int, int, bool]:
@@ -302,22 +210,20 @@ def layers(g: KOutDigraph) -> tuple[int, int, int, int, bool]:
 
 def decompose(g: KOutDigraph) -> Decomposition:
     """Run the whole decomposition once; cheaper than calling the ops separately."""
-    labels, ncomp = _raw_labels(g.endpoints)
-    scc_id, c_src, c_dst = _canonical_ids(g.endpoints, labels, ncomp)
-    members = _members_by_id(scc_id, ncomp)
-    succ = _successor_lists(c_src, c_dst, ncomp)
-    closed = np.ones(ncomp, dtype=bool)
-    closed[c_src] = False
-    giant_set = _giant_from(members, closed)
-    core = np.flatnonzero(_core_mask(g.endpoints))
-    giant_mask = np.zeros(g.n, dtype=bool)
-    giant_mask[giant_set] = True
+    cs = _components(*_dense_csr(g.endpoints))
+    member_indptr = _indptr(cs.comp, cs.height.size)
+    members = np.argsort(cs.comp, kind="stable")
+    closed = cs.height == 0
+    n_closed = int(closed.sum())
+    gid = int(np.argmax(np.diff(member_indptr[: n_closed + 1])))
     return Decomposition(
-        scc_id=scc_id,
-        scc_members=members,
-        condensation=succ,
+        scc_id=cs.comp,
+        member_indptr=member_indptr,
+        members=members,
+        cond_indptr=cs.indptr,
+        cond_indices=cs.indices,
         closed=closed,
-        giant=giant_set,
-        one_in_core=core,
-        all_reach_giant=_all_reach(g.endpoints, giant_mask),
+        giant=members[member_indptr[gid] : member_indptr[gid + 1]],
+        one_in_core=np.flatnonzero(_core_mask(g.endpoints)),
+        all_reach_giant=n_closed == 1,
     )

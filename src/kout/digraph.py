@@ -154,6 +154,8 @@ def is_simple(g: KOutDigraph) -> bool:
 
 def serialize(g: KOutDigraph) -> bytes:
     """Binary form: magic ``KOUT1``, little-endian u64 n, u64 k, n*k u32 endpoints."""
+    if g.n > 2**32 - 1:
+        raise ValueError(f"n={g.n} does not fit the u32 endpoint format (max 2**32 - 1)")
     header = MAGIC + struct.pack("<QQ", g.n, g.k)
     return header + g.endpoints.astype("<u4").tobytes()
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import KOutDigraph, RngSpec, generate
-from .decompose import _raw_labels
+from .decompose import _dense_csr, _scc_labels
 
 __all__ = [
     "DistanceSample",
@@ -73,9 +73,9 @@ def is_strongly_connected(g: KOutDigraph) -> bool:
     if g.n == 1:
         return True
     # a vertex of in-degree zero settles it without running SCC
-    if (np.bincount(g.endpoints.ravel(), minlength=g.n) == 0).any():
+    if has_indegree_zero_vertex(g):
         return False
-    _, ncomp = _raw_labels(g.endpoints)
+    ncomp, _ = _scc_labels(*_dense_csr(g.endpoints))
     return ncomp == 1
 
 

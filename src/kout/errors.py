@@ -26,23 +26,53 @@ class RejectionLimitError(RuntimeError):
         self.attempts = attempts
 
 
-class CycleCapError(RuntimeError):
-    """Cycle enumeration found more elementary cycles than the cap allows."""
+def _replicate_prefix(replicate: int | None) -> str:
+    return "" if replicate is None else f"replicate {replicate}: "
 
-    def __init__(self, cap: int):
-        super().__init__(f"more than {cap} elementary cycles (cap={cap})")
+
+class CycleCapError(RuntimeError):
+    """Cycle enumeration found more elementary cycles than the cap allows.
+
+    ``replicate`` names the Monte Carlo replicate that hit the cap, if any.
+    """
+
+    def __init__(self, cap: int, replicate: int | None = None):
+        where = _replicate_prefix(replicate)
+        super().__init__(f"{where}more than {cap} elementary cycles (cap={cap})")
         self.cap = cap
+        self.replicate = replicate
+
+    def __reduce__(self):  # survive the trip back from a worker process
+        return type(self), (self.cap, self.replicate)
 
 
 class ComponentCapError(RuntimeError):
-    """A nontrivial strongly connected component is too large for exact search."""
+    """A nontrivial strongly connected component is too large for exact search.
 
-    def __init__(self, size: int, cap: int):
+    ``replicate`` names the Monte Carlo replicate that hit the cap, if any.
+    """
+
+    def __init__(self, size: int, cap: int, replicate: int | None = None):
+        where = _replicate_prefix(replicate)
         super().__init__(
-            f"nontrivial strongly connected component of size {size} exceeds cap {cap}"
+            f"{where}nontrivial strongly connected component of size {size} "
+            f"exceeds cap {cap}"
         )
         self.size = size
         self.cap = cap
+        self.replicate = replicate
+
+    def __reduce__(self):
+        return type(self), (self.size, self.cap, self.replicate)
+
+
+class SettingError(ValueError):
+    """An environment variable holds a value the package cannot use."""
+
+    def __init__(self, name: str, value: str, expected: str):
+        super().__init__(f"{name}={value!r} is invalid: expected {expected}")
+        self.name = name
+        self.value = value
 
 
 class InvariantViolationError(AssertionError):

@@ -31,7 +31,7 @@ import numpy as np
 from .constants import ModelConstants
 from .decompose import decompose
 from .digraph import RngSpec, count_multi_pairs, count_self_loops, generate
-from .errors import InvariantViolationError
+from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
 from .outside import CYCLE_CAP, SCC_SIZE_CAP, outside_report
 
 __all__ = [
@@ -141,6 +141,10 @@ def run_replicate(config: ExperimentConfig, index: int) -> ReplicateRecord:
         return _run_replicate(config, index)
     except InvariantViolationError as exc:
         raise InvariantViolationError(f"replicate {index}: {exc}") from exc
+    except CycleCapError as exc:
+        raise CycleCapError(exc.cap, replicate=index) from exc
+    except ComponentCapError as exc:
+        raise ComponentCapError(exc.size, exc.cap, replicate=index) from exc
     except Exception as exc:
         raise RuntimeError(f"replicate {index}: {type(exc).__name__}: {exc}") from exc
 
@@ -213,9 +217,12 @@ def _replicate_worker(args: tuple[ExperimentConfig, int]) -> ReplicateRecord:
 
 
 def default_workers() -> int:
+    """``KOUT_THREADS`` when set (a positive integer), else min(cpu count, 8)."""
     env = os.environ.get("KOUT_THREADS")
     if env:
-        return max(1, int(env))
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise SettingError("KOUT_THREADS", env, "a positive integer")
+        return int(env)
     return min(os.cpu_count() or 1, 8)
 
 

@@ -8,7 +8,12 @@ because they count arcs of the induced sub-digraph.
 
 The heavy per-vertex work runs on an :class:`OutsideView`: the induced
 subgraph on the complement of the giant, with vertices relabeled to a compact
-local range.
+local range, held as CSR arrays together with its SCC labels.  The giant is
+closed, so no path between two outside vertices passes through it: the view's
+SCCs are exactly the host's SCCs other than the giant, and nothing outside
+the giant is reachable from it.  The view numbers its components by the same
+(height, smallest label) rule as :mod:`kout.decompose`, so cycle enumeration
+and the longest-path DP read the labels instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -17,10 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cs_connected_components
 
-from .decompose import Decomposition
+from .decompose import Decomposition, _components, _scc_labels
 from .digraph import KOutDigraph
 from .errors import ComponentCapError, CycleCapError
 
@@ -41,8 +44,6 @@ CYCLE_CAP = 10_000
 SCC_SIZE_CAP = 64
 FALLBACK_MAX_N = 5_000
 
-_SCIPY_MIN_LOCAL = 64
-
 
 @dataclass
 class OutsideView:
@@ -50,11 +51,22 @@ class OutsideView:
 
     n: int  # host digraph size
     vertices: np.ndarray  # sorted original ids
-    adj: list[list[int]]  # local endpoints of arcs staying outside (with multiplicity)
+    indptr: np.ndarray  # (size + 1,) CSR row pointers over local ids
+    indices: np.ndarray  # local endpoints of arcs staying outside (with multiplicity)
+    comp: np.ndarray  # (size,) canonical SCC id per local vertex
+    height: np.ndarray  # per SCC id, its height in the view's condensation
 
     @property
     def size(self) -> int:
-        return len(self.adj)
+        return self.vertices.size
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) local ids of every arc, in CSR order."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices
+
+    def row(self, v: int) -> list[int]:
+        """Local endpoints of the arcs from local vertex v (with multiplicity)."""
+        return self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
 
 
 def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
@@ -64,79 +76,42 @@ def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
     local_of = np.full(g.n, -1, dtype=np.int64)
     local_of[verts] = np.arange(verts.size)
     local = local_of[g.endpoints[verts]]
-    adj = [[u for u in row if u >= 0] for row in local.tolist()]
-    return OutsideView(n=g.n, vertices=verts, adj=adj)
+    stays = local >= 0
+    indptr = np.zeros(verts.size + 1, dtype=np.int64)
+    np.cumsum(stays.sum(axis=1), out=indptr[1:])
+    indices = local[stays]
+    cs = _components(indptr, indices)
+    return OutsideView(g.n, verts, indptr, indices, cs.comp, cs.height)
 
 
-# ---------------------------------------------------------------------------
-# local SCC machinery (variable out-degree adjacency lists)
+def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
+    """Vertex sets of the SCCs with at least two vertices of ``adj``."""
+    ids = sorted(adj)
+    pos = {v: i for i, v in enumerate(ids)}
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum([len(adj[v]) for v in ids], out=indptr[1:])
+    indices = np.array([pos[u] for v in ids for u in adj[v]], dtype=np.int64)
+    _, labels = _scc_labels(indptr, indices)
+    groups: dict[int, set[int]] = {}
+    for v, c in zip(ids, labels.tolist()):
+        groups.setdefault(c, set()).add(v)
+    return [grp for grp in groups.values() if len(grp) >= 2]
 
 
-def _local_scc_labels(adj: list[list[int]]) -> tuple[list[int], int]:
-    m = len(adj)
-    if m == 0:
-        return [], 0
-    if m >= _SCIPY_MIN_LOCAL:
-        lengths = np.fromiter((len(r) for r in adj), dtype=np.int64, count=m)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.fromiter(
-            (u for row in adj for u in row), dtype=np.int64, count=int(indptr[-1])
-        )
-        mat = csr_matrix(
-            (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(m, m)
-        )
-        ncomp, labels = _cs_connected_components(mat, directed=True, connection="strong")
-        return labels.tolist(), int(ncomp)
-    # iterative Tarjan on list adjacency
-    index = [-1] * m
-    low = [0] * m
-    on_stack = [False] * m
-    comp = [-1] * m
-    stack: list[int] = []
-    ncomp = 0
-    counter = 0
-    for root in range(m):
-        if index[root] != -1:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v = frame[0]
-            if frame[1] == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            row = adj[v]
-            i = frame[1]
-            while i < len(row):
-                u = row[i]
-                i += 1
-                if index[u] == -1:
-                    frame[1] = i
-                    work.append([u, 0])
-                    descended = True
-                    break
-                if on_stack[u] and index[u] < low[v]:
-                    low[v] = index[u]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp[u] = ncomp
-                    if u == v:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return comp, ncomp
+def _induced_simple(view: OutsideView, comp) -> dict[int, list[int]]:
+    """Loop-free, deduplicated adjacency of the subgraph induced on ``comp``."""
+    inside = set(comp)
+    return {v: sorted((set(view.row(v)) & inside) - {v}) for v in comp}
+
+
+def _nontrivial_members(view: OutsideView) -> dict[int, list[int]]:
+    """Local members, ascending, of each view SCC with at least two vertices."""
+    big = np.bincount(view.comp, minlength=view.height.size) >= 2
+    verts = np.flatnonzero(big[view.comp])
+    groups: dict[int, list[int]] = {}
+    for v, c in zip(verts.tolist(), view.comp[verts].tolist()):
+        groups.setdefault(c, []).append(v)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -203,35 +178,21 @@ def enumerate_cycles(
     cycles; the limit laws make the count O_p(1), so hitting the cap flags a
     pathological instance rather than silently truncating.
     """
-    found: list[tuple[int, ...]] = []
+    src, dst = view.arcs()
     # self-loops: length-1 cycles, one per vertex regardless of multiplicity
-    for v, row in enumerate(view.adj):
-        if v in row:
-            found.append((v,))
-    # longer cycles live inside nontrivial SCCs of the loop-free simple graph
-    simple_adj = [sorted(set(row) - {v}) for v, row in enumerate(view.adj)]
-    labels, ncomp = _local_scc_labels(simple_adj)
-    groups: dict[int, set[int]] = {}
-    for v, c in enumerate(labels):
-        groups.setdefault(c, set()).add(v)
-    components = [g for g in groups.values() if len(g) >= 2]
+    found: list[tuple[int, ...]] = [(v,) for v in np.unique(src[src == dst]).tolist()]
+    # longer cycles live inside the view's nontrivial SCCs, on the simple graph
+    components = [set(members) for members in _nontrivial_members(view).values()]
     emitted: list[list[int]] = []
     while components:
         comp = components.pop()
-        sub = {v: [u for u in simple_adj[v] if u in comp] for v in comp}
+        sub = _induced_simple(view, comp)
         root = min(comp)
         _johnson_cycles_from(root, sub, emitted, cap - len(found))
         comp.discard(root)
         rest = {v: [u for u in sub[v] if u != root] for v in comp}
         if rest:
-            rest_ids = sorted(rest)
-            pos = {v: i for i, v in enumerate(rest_ids)}
-            packed = [[pos[u] for u in rest[v]] for v in rest_ids]
-            sub_labels, _ = _local_scc_labels(packed)
-            sub_groups: dict[int, set[int]] = {}
-            for i, c in enumerate(sub_labels):
-                sub_groups.setdefault(c, set()).add(rest_ids[i])
-            components.extend(g for g in sub_groups.values() if len(g) >= 2)
+            components.extend(_nontrivial_sccs(rest))
     found.extend(_rotate_min(c) for c in emitted)
     if len(found) > cap:
         raise CycleCapError(cap)
@@ -254,19 +215,21 @@ class _ScanResult(NamedTuple):
     sizes: np.ndarray
     eccs: np.ndarray
     excess: np.ndarray
-    outside_r_counts: np.ndarray | None  # spectrum members outside the giant's sweep
 
 
-def _scan(view: OutsideView, not_r_local: np.ndarray | None = None) -> _ScanResult:
+def _scan(view: OutsideView) -> _ScanResult:
     m = view.size
-    adj = view.adj
+    # flat lists: one list per vertex would cost more in allocation and
+    # garbage-collector passes than the scan itself
+    ind = view.indices.tolist()
+    bounds = view.indptr.tolist()
     mark = [-1] * m
-    sizes = np.zeros(m, dtype=np.int64)
-    eccs = np.zeros(m, dtype=np.int64)
-    excess = np.zeros(m, dtype=np.int64)
-    counts = np.zeros(m, dtype=np.int64) if not_r_local is not None else None
-    notr = not_r_local.tolist() if not_r_local is not None else None
+    sizes = [1] * m
+    eccs = [0] * m
+    excess = [-1] * m
     for s in range(m):
+        if bounds[s] == bounds[s + 1]:  # no arc stays outside: a singleton spectrum
+            continue
         mark[s] = s
         order = [s]
         dist = [0]
@@ -275,22 +238,24 @@ def _scan(view: OutsideView, not_r_local: np.ndarray | None = None) -> _ScanResu
             v = order[head]
             dv = dist[head]
             head += 1
-            for u in adj[v]:
+            for u in ind[bounds[v] : bounds[v + 1]]:
                 if mark[u] != s:
                     mark[u] = s
                     order.append(u)
                     dist.append(dv + 1)
         arcs = 0
         for v in order:
-            for u in adj[v]:
+            for u in ind[bounds[v] : bounds[v + 1]]:
                 if mark[u] == s:
                     arcs += 1
         sizes[s] = len(order)
         eccs[s] = dist[-1]
         excess[s] = arcs - len(order)
-        if counts is not None:
-            counts[s] = sum(1 for v in order if notr[v])
-    return _ScanResult(sizes, eccs, excess, counts)
+    return _ScanResult(
+        np.array(sizes, dtype=np.int64),
+        np.array(eccs, dtype=np.int64),
+        np.array(excess, dtype=np.int64),
+    )
 
 
 def spectra(view: OutsideView) -> tuple[np.ndarray, int, int]:
@@ -324,27 +289,18 @@ def distance_to_giant(g: KOutDigraph, giant_set: np.ndarray) -> GiantDistances:
     visited[giant_set] = True
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[giant_set] = 0
+    rest = np.flatnonzero(~visited)
     level = 0
-    while True:
-        hits = visited[g.endpoints].any(axis=1) & ~visited
+    while rest.size:
+        hits = visited[g.endpoints[rest]].any(axis=1)
         if not hits.any():
             break
         level += 1
-        dist[hits] = level
-        visited |= hits
-    return GiantDistances(w=level, unreached=int((~visited).sum()), dist=dist)
-
-
-def _reachable_from(endpoints: np.ndarray, sources: np.ndarray, n: int) -> np.ndarray:
-    visited = np.zeros(n, dtype=bool)
-    visited[sources] = True
-    frontier = np.asarray(sources)
-    while frontier.size:
-        nxt = np.unique(endpoints[frontier].ravel())
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        frontier = nxt
-    return visited
+        reached = rest[hits]
+        dist[reached] = level
+        visited[reached] = True
+        rest = rest[~hits]
+    return GiantDistances(w=level, unreached=int(rest.size), dist=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -380,67 +336,53 @@ def _within_longest(
 def longest_path(view: OutsideView, scc_cap: int = SCC_SIZE_CAP) -> int:
     """Exact length (in arcs) of the longest simple directed path in the view.
 
-    Standard longest-path DP over the condensation; passage through a
-    nontrivial SCC is resolved exactly by exhaustive search over its simple
-    paths, which errors out above ``scc_cap`` vertices.
+    Longest-path DP over the view's condensation, one height level at a time
+    from the top down, so every component is settled before any arc into it
+    is relaxed.  Singleton components pass on the best path arriving at them
+    in one numpy step per level; passage through a nontrivial SCC is resolved
+    exactly by exhaustive search over its simple paths, which errors out above
+    ``scc_cap`` vertices.
     """
-    m = view.size
-    if m == 0:
+    if view.size == 0:
         return 0
-    simple_adj = [sorted(set(row) - {v}) for v, row in enumerate(view.adj)]
-    labels, ncomp = _local_scc_labels(simple_adj)
-    members: list[list[int]] = [[] for _ in range(ncomp)]
-    for v, c in enumerate(labels):
-        members[c].append(v)
-    # Kahn topological order over component arcs
-    succ_pairs: set[tuple[int, int]] = set()
-    for v in range(m):
-        cv = labels[v]
-        for u in simple_adj[v]:
-            cu = labels[u]
-            if cu != cv:
-                succ_pairs.add((cv, cu))
-    indeg = [0] * ncomp
-    succ: list[list[int]] = [[] for _ in range(ncomp)]
-    for a, b in succ_pairs:
-        succ[a].append(b)
-        indeg[b] += 1
-    topo = [c for c in range(ncomp) if indeg[c] == 0]
-    head = 0
-    while head < len(topo):
-        c = topo[head]
-        head += 1
-        for b in succ[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                topo.append(b)
+    src, dst = view.arcs()
+    cross = view.comp[src] != view.comp[dst]
+    level = view.height[view.comp[src[cross]]]
+    by_level = np.argsort(level, kind="stable")
+    src, dst = src[cross][by_level], dst[cross][by_level]
+    top = int(view.height[-1])
+    bounds = np.searchsorted(level[by_level], np.arange(top + 2)).tolist()
+    nontrivial: dict[int, list[list[int]]] = {}
+    for c, members in _nontrivial_members(view).items():
+        nontrivial.setdefault(int(view.height[c]), []).append(members)
 
-    best_in = [0] * m  # longest path arriving at v from earlier components
-    overall = 0
-    for c in topo:
-        comp = members[c]
-        if len(comp) == 1:
-            best_end = {comp[0]: best_in[comp[0]]}
-        else:
-            adj_c = {v: [u for u in simple_adj[v] if labels[u] == c] for v in comp}
-            within = _within_longest(comp, adj_c, scc_cap)
-            best_end = {}
+    best = np.zeros(view.size, dtype=np.int64)  # longest path ending at v
+    for h in range(top, -1, -1):
+        for comp in nontrivial.get(h, ()):
+            within = _within_longest(comp, _induced_simple(view, comp), scc_cap)
+            arrive = best[comp].tolist()
             for w in comp:
-                best_end[w] = max(
-                    best_in[u] + within[u].get(w, -(1 << 30)) for u in comp
+                best[w] = max(
+                    a + within[u].get(w, -(1 << 30)) for a, u in zip(arrive, comp)
                 )
-        for w, val in best_end.items():
-            if val > overall:
-                overall = val
-            bump = val + 1
-            for x in simple_adj[w]:
-                if labels[x] != c and bump > best_in[x]:
-                    best_in[x] = bump
-    return overall
+        lo, hi = bounds[h], bounds[h + 1]
+        np.maximum.at(best, dst[lo:hi], best[src[lo:hi]] + 1)
+    return int(best.max())
 
 
 # ---------------------------------------------------------------------------
 # full-digraph spectra
+
+
+def _full_spectra(
+    view: OutsideView, sizes: np.ndarray | None, giant_size: int
+) -> tuple[int, int]:
+    """(max |Spec(v)|, |Spec(0)|) when every vertex reaches the giant, from
+    the outside spectrum sizes (None for an empty view)."""
+    if sizes is None:
+        return giant_size, giant_size
+    spec0 = giant_size + (int(sizes[0]) if view.vertices[0] == 0 else 0)
+    return int(sizes.max()) + giant_size, spec0
 
 
 def max_full_spectrum(
@@ -448,39 +390,30 @@ def max_full_spectrum(
 ) -> tuple[int, int]:
     """(max over all vertices of |Spec(v)|, |Spec(vertex 0)|).
 
-    When every vertex reaches the giant, |Spec(v)| decomposes exactly as
-    |Spec_out(v) minus R| + |R| with R the set reachable from the giant, so one
-    forward sweep plus the outside scan suffices.  Otherwise falls back to
-    exact per-component reachability over the condensation (bitsets), which is
-    only sensible at small n.
+    The giant is closed, so the set reachable from it is the giant itself.
+    When every vertex reaches the giant, |Spec(v)| is therefore |giant| for v
+    in the giant and |Spec_out(v)| + |giant| outside it, with Spec_out(v) the
+    spectrum inside the outside view: one outside scan suffices.  Otherwise
+    falls back to exact per-component reachability over the condensation
+    (bitsets), which is only sensible at small n.
     """
     if dec.all_reach_giant:
-        r_mask = _reachable_from(g.endpoints, dec.giant, g.n)
-        r_size = int(r_mask.sum())
         view = outside_view(g, dec.giant)
-        if view.size == 0:
-            return r_size, r_size
-        scan = _scan(view, not_r_local=~r_mask[view.vertices])
-        assert scan.outside_r_counts is not None
-        best = int(scan.outside_r_counts.max()) + r_size
-        best = max(best, r_size)
-        if r_mask[0]:
-            spec0 = r_size
-        else:
-            loc0 = int(np.searchsorted(view.vertices, 0))
-            spec0 = int(scan.outside_r_counts[loc0]) + r_size
-        return best, spec0
+        sizes = _scan(view).sizes if view.size else None
+        return _full_spectra(view, sizes, dec.giant.size)
     if g.n > fallback_max_n:
         raise ValueError(
             f"exact reachability fallback limited to n <= {fallback_max_n}, got n={g.n}"
         )
     ncomp = dec.n_components
-    sizes = [m.size for m in dec.scc_members]
+    sizes = np.diff(dec.member_indptr).tolist()
+    bounds = dec.cond_indptr.tolist()
+    succ = dec.cond_indices.tolist()
     reach = [0] * ncomp
     totals = [0] * ncomp
     for c in range(ncomp):  # ids are reverse-topological: successors come first
         mask = 1 << c
-        for s in dec.condensation[c]:
+        for s in succ[bounds[c] : bounds[c + 1]]:
             mask |= reach[s]
         reach[c] = mask
         t = 0
@@ -556,27 +489,15 @@ def outside_report(
     maxfull = spec0 = None
     m_stat = None
     if "spectra" in collect:
+        scan = _scan(view) if view.size else None
         if dec.all_reach_giant:
-            r_mask = _reachable_from(g.endpoints, dec.giant, g.n)
-            r_size = int(r_mask.sum())
-            if view.size == 0:
-                maxfull = spec0 = r_size
-            else:
-                scan = _scan(view, not_r_local=~r_mask[view.vertices])
-                assert scan.outside_r_counts is not None
-                maxfull = max(int(scan.outside_r_counts.max()) + r_size, r_size)
-                if r_mask[0]:
-                    spec0 = r_size
-                else:
-                    loc0 = int(np.searchsorted(view.vertices, 0))
-                    spec0 = int(scan.outside_r_counts[loc0]) + r_size
+            maxfull, spec0 = _full_spectra(
+                view, scan.sizes if scan is not None else None, dec.giant.size
+            )
         elif g.n <= FALLBACK_MAX_N:
-            scan = _scan(view) if view.size else None
             maxfull, spec0 = max_full_spectrum(g, dec)
-        else:
-            # Exact full-graph spectra are unsupported at this size when some
-            # vertex misses the giant; all_reach_giant=False flags the gap.
-            scan = _scan(view) if view.size else None
+        # Otherwise exact full-graph spectra are unsupported at this size when
+        # some vertex misses the giant; all_reach_giant=False flags the gap.
         m_stat = longest_path(view, scc_cap=scc_cap)
 
     dist = distance_to_giant(g, dec.giant) if "distances" in collect else None

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+from kout import harness
 from kout.cli import main
 from kout.digraph import MAGIC, deserialize
 
@@ -127,3 +129,26 @@ def test_montecarlo_io_error(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_montecarlo_cap_error_exit_code(monkeypatch, capsys):
+    # run the real replicates with a cycle cap of 0, which the first cycle trips
+    real = harness.run_experiment
+
+    def capped(config, workers=None):
+        return real(dataclasses.replace(config, cycle_cap=0), workers=1)
+
+    monkeypatch.setattr(harness, "run_experiment", capped)
+    code = main(["montecarlo", "--n", "300", "--k", "2", "--reps", "20", "--seed", "2"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("cap exceeded: replicate ")
+
+
+def test_montecarlo_invalid_kout_threads(monkeypatch, capsys):
+    monkeypatch.setenv("KOUT_THREADS", "x")
+    code = main(["montecarlo", "--n", "20", "--k", "2", "--reps", "2", "--seed", "1"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "KOUT_THREADS='x'" in err

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,6 +137,13 @@ def test_serialize_round_trip(rows):
     g = digraph_from_rows(rows)
     assert deserialize(serialize(g)) == g
     assert digraph_from_json(digraph_to_json(g)) == g
+
+
+def test_serialize_rejects_n_beyond_u32():
+    # a real digraph this large cannot be allocated; the size check comes first
+    stub = SimpleNamespace(n=2**32, k=1, endpoints=None)
+    with pytest.raises(ValueError, match="u32"):
+        serialize(stub)
 
 
 def test_deserialize_truncated():

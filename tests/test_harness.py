@@ -1,10 +1,12 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from kout.constants import derive_constants
+from kout.errors import ComponentCapError, CycleCapError, SettingError
 from kout.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -20,6 +22,7 @@ from kout.harness import (
     tv_joint_to_poisson,
     tv_to_poisson,
     write_csv,
+    default_workers,
     write_json,
 )
 
@@ -222,7 +225,35 @@ def test_replicate_error_tagged():
     for i in range(20):
         try:
             run_replicate(cfg, i)
-        except RuntimeError as exc:
-            found = str(exc)
+        except CycleCapError as exc:
+            found = (i, exc)
             break
-    assert found is not None and "replicate" in found
+    assert found is not None
+    i, exc = found
+    assert exc.replicate == i and exc.cap == 0
+    assert str(exc).startswith(f"replicate {i}: ")
+
+
+def test_cap_error_keeps_type_across_worker_pool():
+    cfg = ExperimentConfig(n=300, k=2, reps=20, seed=2, cycle_cap=0)
+    with pytest.raises(CycleCapError) as info:
+        run_experiment(cfg, workers=2)
+    assert info.value.replicate is not None
+    assert str(info.value).startswith(f"replicate {info.value.replicate}: ")
+
+
+@pytest.mark.parametrize(
+    "exc", [CycleCapError(7, replicate=3), ComponentCapError(70, 64, replicate=3)]
+)
+def test_cap_errors_pickle_with_their_fields(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    assert back.replicate == 3 and back.cap == exc.cap
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-3", "2.5"])
+def test_kout_threads_rejects_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("KOUT_THREADS", value)
+    with pytest.raises(SettingError) as info:
+        default_workers()
+    assert "KOUT_THREADS" in str(info.value) and repr(value) in str(info.value)

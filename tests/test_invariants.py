@@ -1,0 +1,123 @@
+"""Structural invariants of the decomposition and the outside report at
+n = 10^4 .. 10^5, far beyond the brute-force oracles, each checked against a
+plain recomputation that shares no code with the library."""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from kout.decompose import decompose
+from kout.digraph import RngSpec, generate
+from kout.outside import max_full_spectrum, outside_report
+
+CASES = [(10_000, 0), (10_000, 1), (100_000, 2)]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: f"n{c[0]}-s{c[1]}")
+def replicate(request):
+    n, stream = request.param
+    g = generate(n, 2, RngSpec(606, stream))
+    dec = decompose(g)
+    return g, dec, outside_report(g, dec)
+
+
+def forward_closure(endpoints: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    seen = np.zeros(endpoints.shape[0], dtype=bool)
+    seen[sources] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        nxt = endpoints[frontier].ravel()
+        nxt = np.unique(nxt[~seen[nxt]])
+        seen[nxt] = True
+        frontier = nxt
+    return seen
+
+
+def bfs_size(rows: list[list[int]], v: int, allowed) -> int:
+    seen = {v}
+    todo = deque([v])
+    while todo:
+        for u in rows[todo.popleft()]:
+            if allowed(u) and u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return len(seen)
+
+
+def test_core_closed_surjective_and_cycle_closure(replicate):
+    g, dec, _ = replicate
+    core = np.zeros(g.n, dtype=bool)
+    core[dec.one_in_core] = True
+    assert core[g.endpoints[core]].all(), "an arc leaves the core"
+    indeg = np.bincount(g.endpoints[core].ravel(), minlength=g.n)
+    assert indeg[core].min() >= 1
+    # vertices on a cycle: self-loops plus members of nontrivial SCCs
+    sizes = np.diff(dec.member_indptr)
+    on_cycle = (sizes[dec.scc_id] >= 2) | (g.endpoints == np.arange(g.n)[:, None]).any(1)
+    assert np.array_equal(forward_closure(g.endpoints, np.flatnonzero(on_cycle)), core)
+
+
+def test_giant_is_closed_scc_inside_core(replicate):
+    g, dec, _ = replicate
+    giant = np.zeros(g.n, dtype=bool)
+    giant[dec.giant] = True
+    assert giant[g.endpoints[giant]].all(), "an arc leaves the giant"
+    gid = dec.scc_id[dec.giant[0]]
+    assert np.array_equal(np.flatnonzero(dec.scc_id == gid), dec.giant)
+    assert dec.closed[gid]
+    assert np.isin(dec.giant, dec.one_in_core).all()
+    # the giant is one SCC: everything in it reaches its first vertex backwards
+    rev_reach = np.zeros(g.n, dtype=bool)
+    rev_reach[dec.giant[0]] = True
+    while True:
+        hits = giant & ~rev_reach & rev_reach[g.endpoints].any(1)
+        if not hits.any():
+            break
+        rev_reach |= hits
+    assert np.array_equal(rev_reach, giant)
+
+
+def test_condensation_arcs_drop_to_smaller_ids(replicate):
+    g, dec, _ = replicate
+    src = np.repeat(np.arange(dec.n_components), np.diff(dec.cond_indptr))
+    assert (dec.cond_indices < src).all()
+    a = np.repeat(dec.scc_id, g.k)
+    b = dec.scc_id[g.endpoints.ravel()]
+    want = np.unique(np.stack([a[a != b], b[a != b]], axis=1), axis=0)
+    assert np.array_equal(np.stack([src, dec.cond_indices], axis=1), want)
+    assert np.array_equal(dec.closed, np.diff(dec.cond_indptr) == 0)
+
+
+def test_d_at_most_m(replicate):
+    _, _, rep = replicate
+    assert rep.d <= rep.m
+
+
+def test_spectra_sizes_match_bfs_at_sampled_vertices(replicate):
+    g, dec, rep = replicate
+    giant = np.zeros(g.n, dtype=bool)
+    giant[dec.giant] = True
+    outside = np.flatnonzero(~giant)
+    rows = g.endpoints.tolist()
+    gen = np.random.default_rng(0)
+    picks = gen.choice(outside.size, size=min(200, outside.size), replace=False)
+    picks = np.union1d(picks, [int(np.argmax(rep.spectra_sizes))])
+    not_giant = (~giant).tolist()
+    for i in picks.tolist():
+        v = int(outside[i])
+        assert rep.spectra_sizes[i] == bfs_size(rows, v, not_giant.__getitem__)
+    # in the whole digraph the spectrum adds exactly the giant
+    assert dec.all_reach_giant
+    for i in picks[:10].tolist():
+        full = forward_closure(g.endpoints, [outside[i]]).sum()
+        assert full == rep.spectra_sizes[i] + dec.giant.size
+
+
+def test_max_full_spectrum_is_max_outside_plus_giant(replicate):
+    g, dec, rep = replicate
+    assert dec.all_reach_giant
+    want = int(rep.spectra_sizes.max()) + dec.giant.size
+    assert rep.max_full_spectrum == want
+    assert max_full_spectrum(g, dec) == (want, rep.spectrum_of_zero)
+    assert rep.spectrum_of_zero == forward_closure(g.endpoints, [0]).sum()
