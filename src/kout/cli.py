@@ -4,7 +4,10 @@ Subcommands: constants, generate, analyze, distance, phase, surjection,
 oracle (enumerate | stirling | gw), montecarlo.  ``montecarlo`` exits 0 on
 success, 2 on an invariant violation, 3 on an I/O error, 4 when a replicate
 hits the cycle or component cap of the exact search, and 5 on an invalid
-``KOUT_THREADS``; each failure is reported in one line on stderr.
+``KOUT_THREADS``; each failure is reported in one line on stderr.  Every
+subcommand exits 2, as argparse does for a malformed flag, when the library
+rejects an argument value (a ``ValueError``, e.g. ``--pairs 0``), printing
+one line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -133,7 +137,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_distance(args) -> int:
     g = digraph.generate(args.n, args.k, digraph.RngSpec(args.seed, args.stream))
+    t0 = time.perf_counter()
     sample = typical_distance(g, args.pairs, digraph.RngSpec(args.seed, args.stream + 1))
+    ms_elapsed = (time.perf_counter() - t0) * 1000.0
     payload = {
         "n": args.n,
         "k": args.k,
@@ -144,6 +150,7 @@ def _cmd_distance(args) -> int:
             sum(sample.distances) / len(sample.distances) if sample.distances else None
         ),
         "distances": sample.distances,
+        "ms_elapsed": ms_elapsed,
     }
     if args.json:
         _print_json(payload)
@@ -359,7 +366,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,13 +1,27 @@
-"""Typical distances and the strong-connectivity phase transition."""
+"""Typical distances and the strong-connectivity phase transition.
+
+``typical_distance`` answers each pair with a bidirectional level-synchronous
+BFS (Pohl 1971): a forward search from the source over the out-table and a
+backward search from the target over a reverse CSR, built once per call,
+always expanding the smaller frontier by one whole level.  The first level
+that meets the other side gives the distance; an empty new level on either
+side proves the pair unreachable.  Whp every vertex reaches the giant and
+the part outside it is tree-like, so a reachable pair meets after about
+log2 n levels and an unreachable one is settled by the target's small
+backward closure, touching far fewer than the O(n) vertices of a one-sided
+search.  Per-pair work is proportional to the vertices touched: the label
+arrays are allocated once per call and only the touched entries are reset.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .digraph import KOutDigraph, RngSpec, generate
-from .decompose import _dense_csr, _scc_labels
+from .decompose import _dense_csr, _distinct, _rows, _scc_labels
 
 __all__ = [
     "DistanceSample",
@@ -32,36 +46,78 @@ class DistanceSample:
     distances: list[int] = field(default_factory=list)
 
 
-def _bfs_distance(endpoints: np.ndarray, n: int, src: int, dst: int) -> int | None:
-    """Arc distance src -> dst, or None; stops as soon as dst is reached."""
-    if src == dst:
-        return 0
-    visited = np.zeros(n, dtype=bool)
-    visited[src] = True
-    frontier = np.array([src], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        d += 1
-        nxt = np.unique(endpoints[frontier].ravel())
-        nxt = nxt[~visited[nxt]]
-        if not nxt.size:
-            return None
-        if (nxt == dst).any():
-            return d
-        visited[nxt] = True
-        frontier = nxt
-    return None
+def _reverse_csr(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the reversed digraph: row v lists the tails of v's in-arcs.
+
+    scipy's CSR -> CSC conversion is a counting sort, an order of magnitude
+    faster than a stable argsort of the heads.  The ids go in as int32, the
+    dtype scipy would otherwise downcast them to by a copy.
+    """
+    n, k = endpoints.shape
+    indices = endpoints.astype(np.int32).ravel()
+    indptr = np.arange(0, indices.size + 1, k, dtype=np.int32)
+    ones = np.ones(indices.size, dtype=np.int8)
+    rev = csr_matrix((ones, indices, indptr), shape=(n, n)).tocsc()
+    return rev.indptr, rev.indices
+
+
+class _PairSearch:
+    """Bidirectional BFS distances on one digraph, one pair at a time.
+
+    ``labels[0]``/``labels[1]`` hold each vertex's distance from the source /
+    to the target of the current pair, -1 where unreached; every entry a pair
+    labels is reset to -1 before the next pair.
+    """
+
+    def __init__(self, endpoints: np.ndarray):
+        n = endpoints.shape[0]
+        self.endpoints = endpoints
+        self.rev_indptr, self.rev_indices = _reverse_csr(endpoints)
+        self.labels = (np.full(n, -1, dtype=np.int32), np.full(n, -1, dtype=np.int32))
+
+    def __call__(self, src: int, dst: int) -> int | None:
+        """Arc distance src -> dst, or None when dst is unreachable."""
+        if src == dst:
+            return 0
+        fronts = [np.array([src]), np.array([dst])]
+        levels = [0, 0]
+        seen = [[fronts[0]], [fronts[1]]]
+        self.labels[0][src] = self.labels[1][dst] = 0
+        try:
+            while True:
+                side = 0 if fronts[0].size <= fronts[1].size else 1
+                if side == 0:
+                    reached = self.endpoints[fronts[0]].ravel()
+                else:
+                    reached = _rows(self.rev_indptr, self.rev_indices, fronts[1])
+                labels, other = self.labels[side], self.labels[1 - side]
+                new = _distinct(reached[labels[reached] < 0])
+                if not new.size:
+                    return None
+                levels[side] += 1
+                labels[new] = levels[side]
+                seen[side].append(new)
+                fronts[side] = new
+                meet = other[new]
+                meet = meet[meet >= 0]
+                if meet.size:
+                    return levels[side] + int(meet.min())
+        finally:
+            for labels, ids in zip(self.labels, seen):
+                labels[np.concatenate(ids)] = -1
 
 
 def typical_distance(g: KOutDigraph, pairs: int, rng: RngSpec) -> DistanceSample:
-    """Sample ``pairs`` ordered vertex pairs and BFS the distance of each."""
+    """Sample ``pairs`` ordered vertex pairs and compute the distance of each
+    by bidirectional BFS."""
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     gen = rng.generator()
     draws = gen.integers(0, g.n, size=(pairs, 2), dtype=np.int64)
+    search = _PairSearch(g.endpoints)
     sample = DistanceSample(pairs_drawn=pairs, finite_count=0)
     for v1, v2 in draws.tolist():
-        d = _bfs_distance(g.endpoints, g.n, v1, v2)
+        d = search(v1, v2)
         if d is not None:
             sample.finite_count += 1
             sample.distances.append(d)
@@ -75,8 +131,11 @@ def is_strongly_connected(g: KOutDigraph) -> bool:
     # a vertex of in-degree zero settles it without running SCC
     if has_indegree_zero_vertex(g):
         return False
-    ncomp, _ = _scc_labels(*_dense_csr(g.endpoints))
-    return ncomp == 1
+    return _one_scc(g)
+
+
+def _one_scc(g: KOutDigraph) -> bool:
+    return _scc_labels(*_dense_csr(g.endpoints))[0] == 1
 
 
 def has_indegree_zero_vertex(g: KOutDigraph) -> bool:
@@ -113,7 +172,7 @@ def phase_sweep(
             g = generate(n, k, spec)
             if has_indegree_zero_vertex(g):
                 indeg0 += 1
-            elif is_strongly_connected(g):
+            elif _one_scc(g):
                 sc += 1
         points.append(
             PhasePoint(

@@ -37,6 +37,7 @@ __all__ = [
     "brute_cycles",
     "brute_spectrum_sizes",
     "brute_max_eccentricity",
+    "brute_distance",
     "brute_longest_path",
 ]
 
@@ -321,6 +322,21 @@ def brute_max_eccentricity(table: Table, within: Iterable[int] | None = None) ->
         if dist:
             best = max(best, max(dist.values()))
     return best
+
+
+def brute_distance(table: Table, src: int, dst: int) -> int | None:
+    """Arc distance src -> dst by plain BFS, or None when dst is unreachable."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier and dst not in dist:
+        nxt = []
+        for v in frontier:
+            for u in table[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist.get(dst)
 
 
 def brute_longest_path(table: Table, within: Iterable[int] | None = None) -> int:

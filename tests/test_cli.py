@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from kout import harness
 from kout.cli import main
 from kout.digraph import MAGIC, deserialize
@@ -76,6 +78,39 @@ def test_distance_cli(capsys):
     doc = json.loads(out)
     assert doc["pairs_drawn"] == 50
     assert 0 <= doc["finite_count"] <= 50
+    assert doc["ms_elapsed"] > 0
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--pairs", "0", "pairs must be >= 1"),
+        ("--n", "0", "n must be >= 1"),
+        ("--seed", "-1", "seed must be a 64-bit unsigned integer"),
+    ],
+)
+def test_distance_invalid_value_exit_code(capsys, flag, value, message):
+    argv = {"--n": "50", "--k": "2", "--pairs": "10", "--seed": "1"}
+    argv[flag] = value
+    code = main(["distance", *[x for item in argv.items() for x in item]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("invalid input: ") and message in err
+
+
+def test_invalid_value_exit_code_other_subcommands(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for argv in (
+        ["generate", "--n", "0", "--k", "2", "--seed", "1"],
+        ["analyze", "--in", str(bad)],
+        ["phase", "--n", "10", "--kmin", "3", "--kmax", "2", "--reps", "5", "--seed", "1"],
+        ["montecarlo", "--n", "20", "--k", "2", "--reps", "0", "--seed", "1"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input: "), argv
 
 
 def test_phase_csv(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -5,11 +6,13 @@ from conftest import digraph_from_rows, endpoint_tables
 from kout.decompose import giant, one_in_core
 from kout.digraph import RngSpec, generate
 from kout.distance import (
+    _PairSearch,
     has_indegree_zero_vertex,
     is_strongly_connected,
     phase_sweep,
     typical_distance,
 )
+from kout.oracle import brute_distance
 
 
 def test_typical_distance_3cycle(rows_3cycle):
@@ -84,26 +87,26 @@ def test_phase_sweep_validates():
 
 
 def test_typical_distance_matches_bfs_small():
-    # cross-check sampled distances against a brute-force BFS on a fixed graph
+    # every sampled distance equals a brute-force BFS on the same drawn pair
     g = generate(30, 2, RngSpec(77, 3))
     rows = g.endpoints.tolist()
+    rng = RngSpec(123, 9)
+    draws = rng.generator().integers(0, 30, size=(300, 2), dtype=np.int64)
+    want = [brute_distance(rows, a, b) for a, b in draws.tolist()]
+    sample = typical_distance(g, 300, rng)
+    assert sample.distances == [d for d in want if d is not None]
+    assert sample.finite_count == len(sample.distances)
+    assert 0 < sample.finite_count < 300
 
-    def bfs(src, dst):
-        if src == dst:
-            return 0
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in rows[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        return dist.get(dst)
 
-    sample = typical_distance(g, 300, RngSpec(123, 9))
-    finite = sum(1 for a in range(30) for b in range(30) if bfs(a, b) is not None)
-    # the sampler's finite fraction should sit near the exact pair fraction
-    assert abs(sample.finite_count / 300 - finite / 900) < 0.1
+@settings(max_examples=150)
+@given(endpoint_tables(max_n=9, max_k=3))
+def test_pair_search_matches_brute_distance(rows):
+    # one search object answers every ordered pair, so a label left over from
+    # an earlier pair would show up as a wrong distance
+    search = _PairSearch(digraph_from_rows(rows).endpoints)
+    n = len(rows)
+    for src in range(n):
+        for dst in range(n):
+            assert search(src, dst) == brute_distance(rows, src, dst), (src, dst)
+    assert (search.labels[0] == -1).all() and (search.labels[1] == -1).all()

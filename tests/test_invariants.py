@@ -9,6 +9,7 @@ import pytest
 
 from kout.decompose import decompose
 from kout.digraph import RngSpec, generate
+from kout.distance import typical_distance
 from kout.outside import max_full_spectrum, outside_report
 
 CASES = [(10_000, 0), (10_000, 1), (100_000, 2)]
@@ -121,3 +122,28 @@ def test_max_full_spectrum_is_max_outside_plus_giant(replicate):
     assert rep.max_full_spectrum == want
     assert max_full_spectrum(g, dec) == (want, rep.spectrum_of_zero)
     assert rep.spectrum_of_zero == forward_closure(g.endpoints, [0]).sum()
+
+
+def bfs_distances(endpoints: np.ndarray, src: int) -> np.ndarray:
+    """Forward BFS distance from src to every vertex, -1 where unreachable."""
+    dist = np.full(endpoints.shape[0], -1)
+    dist[src] = 0
+    frontier = np.array([src])
+    d = 0
+    while frontier.size:
+        d += 1
+        nxt = endpoints[frontier].ravel()
+        dist[nxt[dist[nxt] < 0]] = d
+        frontier = np.flatnonzero(dist == d)
+    return dist
+
+
+def test_typical_distance_matches_forward_bfs(replicate):
+    g, _, _ = replicate
+    pairs, rng = 300, RngSpec(707, g.n)
+    draws = rng.generator().integers(0, g.n, size=(pairs, 2), dtype=np.int64)
+    want = [int(bfs_distances(g.endpoints, a)[b]) for a, b in draws.tolist()]
+    sample = typical_distance(g, pairs, rng)
+    assert sample.distances == [d for d in want if d >= 0]
+    # both outcomes occur, so the early exit on an empty level is exercised
+    assert 0 < sample.finite_count < pairs
