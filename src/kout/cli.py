@@ -5,9 +5,10 @@ oracle (enumerate | stirling | gw), montecarlo.  ``montecarlo`` exits 0 on
 success, 2 on an invariant violation, 3 on an I/O error, 4 when a replicate
 hits the cycle or component cap of the exact search, and 5 on an invalid
 ``KOUT_THREADS``; each failure is reported in one line on stderr.  Every
-subcommand exits 2, as argparse does for a malformed flag, when the library
-rejects an argument value (a ``ValueError``, e.g. ``--pairs 0``), printing
-one line on stderr instead of a traceback.
+subcommand exits 2, as argparse does for a malformed flag, when an argument
+value or combination is rejected (a ``ValueError``, e.g. ``--pairs 0``, or
+``analyze`` without ``--in`` or a full ``--n/--k/--seed``), printing one line
+on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -71,11 +72,13 @@ def _load_digraph(args) -> digraph.KOutDigraph:
             return digraph.deserialize(data)
         return digraph.digraph_from_json(data.decode())
     if args.n is None or args.k is None or args.seed is None:
-        raise SystemExit("either --in FILE or all of --n/--k/--seed are required")
+        raise ValueError("either --in FILE or all of --n/--k/--seed are required")
     return digraph.generate(args.n, args.k, digraph.RngSpec(args.seed, args.stream))
 
 
 def _cmd_generate(args) -> int:
+    if args.format == "bin" and not args.out:
+        raise ValueError("--format bin requires --out FILE")
     rng = digraph.RngSpec(args.seed, args.stream)
     if args.simple:
         g, _attempts = digraph.generate_simple(args.n, args.k, rng)
@@ -83,8 +86,6 @@ def _cmd_generate(args) -> int:
         g = digraph.generate(args.n, args.k, rng)
     if args.format == "bin":
         data = digraph.serialize(g)
-        if not args.out:
-            raise SystemExit("--format bin requires --out FILE")
         with open(args.out, "wb") as fh:
             fh.write(data)
     else:

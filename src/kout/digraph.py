@@ -17,8 +17,10 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DigraphFormatError, RejectionLimitError
 
@@ -78,6 +80,22 @@ class KOutDigraph:
         if ep.size and (ep.min() < 0 or ep.max() >= self.n):
             raise ValueError("endpoint outside [0, n)")
         object.__setattr__(self, "endpoints", ep)
+
+    @cached_property
+    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR of the reversed digraph: row v lists the tails of v's in-arcs.
+
+        Built on first use and kept, since the digraph does not change.
+        scipy's CSR -> CSC conversion is a counting sort, an order of
+        magnitude faster than a stable argsort of the heads.  The ids go in
+        as int32, the dtype scipy would otherwise downcast them to by a copy.
+        """
+        indices = self.endpoints.astype(np.int32).ravel()
+        indptr = np.arange(0, indices.size + 1, self.k, dtype=np.int32)
+        ones = np.ones(indices.size, dtype=np.int8)
+        shape = (self.n, self.n)
+        rev = csr_matrix((ones, indices, indptr), shape=shape).tocsc()
+        return rev.indptr, rev.indices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KOutDigraph):

@@ -2,15 +2,16 @@
 
 ``typical_distance`` answers each pair with a bidirectional level-synchronous
 BFS (Pohl 1971): a forward search from the source over the out-table and a
-backward search from the target over a reverse CSR, built once per call,
-always expanding the smaller frontier by one whole level.  The first level
-that meets the other side gives the distance; an empty new level on either
-side proves the pair unreachable.  Whp every vertex reaches the giant and
-the part outside it is tree-like, so a reachable pair meets after about
-log2 n levels and an unreachable one is settled by the target's small
-backward closure, touching far fewer than the O(n) vertices of a one-sided
-search.  Per-pair work is proportional to the vertices touched: the label
-arrays are allocated once per call and only the touched entries are reset.
+backward search from the target over the digraph's reverse CSR (built on first
+use and kept with the digraph), always expanding the smaller frontier by one
+whole level.  The first level that meets the other side gives the distance; an
+empty new level on either side proves the pair unreachable.  Whp every vertex
+reaches the giant and the part outside it is tree-like, so a reachable pair
+meets after about log2 n levels and an unreachable one is settled by the
+target's small backward closure, touching far fewer than the O(n) vertices of
+a one-sided search.  Per-pair work is proportional to the vertices touched:
+the label arrays are allocated once per call and only the touched entries are
+reset.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .digraph import KOutDigraph, RngSpec, generate
 from .decompose import _dense_csr, _distinct, _rows, _scc_labels
@@ -46,21 +46,6 @@ class DistanceSample:
     distances: list[int] = field(default_factory=list)
 
 
-def _reverse_csr(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the reversed digraph: row v lists the tails of v's in-arcs.
-
-    scipy's CSR -> CSC conversion is a counting sort, an order of magnitude
-    faster than a stable argsort of the heads.  The ids go in as int32, the
-    dtype scipy would otherwise downcast them to by a copy.
-    """
-    n, k = endpoints.shape
-    indices = endpoints.astype(np.int32).ravel()
-    indptr = np.arange(0, indices.size + 1, k, dtype=np.int32)
-    ones = np.ones(indices.size, dtype=np.int8)
-    rev = csr_matrix((ones, indices, indptr), shape=(n, n)).tocsc()
-    return rev.indptr, rev.indices
-
-
 class _PairSearch:
     """Bidirectional BFS distances on one digraph, one pair at a time.
 
@@ -69,11 +54,10 @@ class _PairSearch:
     labels is reset to -1 before the next pair.
     """
 
-    def __init__(self, endpoints: np.ndarray):
-        n = endpoints.shape[0]
-        self.endpoints = endpoints
-        self.rev_indptr, self.rev_indices = _reverse_csr(endpoints)
-        self.labels = (np.full(n, -1, dtype=np.int32), np.full(n, -1, dtype=np.int32))
+    def __init__(self, g: KOutDigraph):
+        self.endpoints = g.endpoints
+        self.rev_indptr, self.rev_indices = g.reverse_csr
+        self.labels = (np.full(g.n, -1, dtype=np.int32), np.full(g.n, -1, dtype=np.int32))
 
     def __call__(self, src: int, dst: int) -> int | None:
         """Arc distance src -> dst, or None when dst is unreachable."""
@@ -114,7 +98,7 @@ def typical_distance(g: KOutDigraph, pairs: int, rng: RngSpec) -> DistanceSample
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     gen = rng.generator()
     draws = gen.integers(0, g.n, size=(pairs, 2), dtype=np.int64)
-    search = _PairSearch(g.endpoints)
+    search = _PairSearch(g)
     sample = DistanceSample(pairs_drawn=pairs, finite_count=0)
     for v1, v2 in draws.tolist():
         d = search(v1, v2)

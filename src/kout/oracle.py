@@ -36,6 +36,7 @@ __all__ = [
     "brute_one_in_core",
     "brute_cycles",
     "brute_spectrum_sizes",
+    "brute_eccentricities",
     "brute_max_eccentricity",
     "brute_distance",
     "brute_longest_path",
@@ -302,10 +303,10 @@ def brute_spectrum_sizes(table: Table, within: Iterable[int] | None = None) -> d
     return sizes
 
 
-def brute_max_eccentricity(table: Table, within: Iterable[int] | None = None) -> int:
-    """max over v of the largest finite BFS distance from v, induced subgraph."""
+def brute_eccentricities(table: Table, within: Iterable[int] | None = None) -> dict[int, int]:
+    """Per vertex v, the largest finite BFS distance from v, induced subgraph."""
     adj, verts = _restrict(table, within)
-    best = 0
+    eccs: dict[int, int] = {}
     for r in verts:
         dist = {r: 0}
         frontier = [r]
@@ -319,9 +320,13 @@ def brute_max_eccentricity(table: Table, within: Iterable[int] | None = None) ->
                         dist[u] = d
                         nxt.append(u)
             frontier = nxt
-        if dist:
-            best = max(best, max(dist.values()))
-    return best
+        eccs[r] = max(dist.values())
+    return eccs
+
+
+def brute_max_eccentricity(table: Table, within: Iterable[int] | None = None) -> int:
+    """max over v of the largest finite BFS distance from v, induced subgraph."""
+    return max(brute_eccentricities(table, within).values(), default=0)
 
 
 def brute_distance(table: Table, src: int, dst: int) -> int | None:

@@ -14,6 +14,12 @@ SCCs are exactly the host's SCCs other than the giant, and nothing outside
 the giant is reachable from it.  The view numbers its components by the same
 (height, smallest label) rule as :mod:`kout.decompose`, so cycle enumeration
 and the longest-path DP read the labels instead of recomputing them.
+
+Spectrum sizes, eccentricities and arc excess come from one scan that runs a
+level-synchronous numpy BFS from every view vertex at once, over (source,
+vertex) pairs.  Whp the part outside the giant is mostly tree-like, so the
+closures are tiny (about 1.7 vertices each on average at n = 10^6, k = 2) and
+the whole scan costs about as much as a single BFS over the view.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decompose import Decomposition, _components, _scc_labels
+from .decompose import Decomposition, _components, _distinct, _rows, _scc_labels
 from .digraph import KOutDigraph
 from .errors import ComponentCapError, CycleCapError
 
@@ -208,7 +214,9 @@ def enumerate_cycles(
 
 
 # ---------------------------------------------------------------------------
-# per-vertex forward scan (spectra, eccentricities, arc excess)
+# batched forward scan (spectra, eccentricities, arc excess)
+
+SCAN_BLOCK = 1 << 16  # sources per batch of the scan: bounds its pair arrays
 
 
 class _ScanResult(NamedTuple):
@@ -218,44 +226,39 @@ class _ScanResult(NamedTuple):
 
 
 def _scan(view: OutsideView) -> _ScanResult:
+    """Forward closure of every view vertex, as one level-synchronous BFS over
+    (source, vertex) pairs keyed ``source * m + vertex``.
+
+    A closure is closed in the view, so every arc of a member stays inside
+    it: the arcs it induces number the sum of its members' view out-degrees.
+    Sources go in blocks of ``SCAN_BLOCK``, so the sorted pair arrays hold at
+    most that many closures at a time.
+    """
     m = view.size
-    # flat lists: one list per vertex would cost more in allocation and
-    # garbage-collector passes than the scan itself
-    ind = view.indices.tolist()
-    bounds = view.indptr.tolist()
-    mark = [-1] * m
-    sizes = [1] * m
-    eccs = [0] * m
-    excess = [-1] * m
-    for s in range(m):
-        if bounds[s] == bounds[s + 1]:  # no arc stays outside: a singleton spectrum
-            continue
-        mark[s] = s
-        order = [s]
-        dist = [0]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            dv = dist[head]
-            head += 1
-            for u in ind[bounds[v] : bounds[v + 1]]:
-                if mark[u] != s:
-                    mark[u] = s
-                    order.append(u)
-                    dist.append(dv + 1)
-        arcs = 0
-        for v in order:
-            for u in ind[bounds[v] : bounds[v + 1]]:
-                if mark[u] == s:
-                    arcs += 1
-        sizes[s] = len(order)
-        eccs[s] = dist[-1]
-        excess[s] = arcs - len(order)
-    return _ScanResult(
-        np.array(sizes, dtype=np.int64),
-        np.array(eccs, dtype=np.int64),
-        np.array(excess, dtype=np.int64),
-    )
+    outdeg = np.diff(view.indptr)
+    sizes = np.ones(m, dtype=np.int64)
+    eccs = np.zeros(m, dtype=np.int64)
+    excess = np.full(m, -1, dtype=np.int64)
+    sources = np.flatnonzero(outdeg)  # the rest keep a singleton spectrum
+    for lo in range(0, sources.size, SCAN_BLOCK):
+        block = sources[lo : lo + SCAN_BLOCK]
+        seen = frontier = block * m + block  # sorted, like every key array below
+        level = 0
+        while frontier.size:
+            level += 1
+            v = frontier % m
+            keys = np.repeat(frontier - v, outdeg[v])
+            keys += _rows(view.indptr, view.indices, v)
+            keys = _distinct(keys)
+            at = np.searchsorted(seen, keys)
+            fresh = np.take(seen, at, mode="clip") != keys
+            frontier = keys[fresh]
+            eccs[frontier // m] = level
+            seen = np.insert(seen, at[fresh], frontier)
+        starts = np.searchsorted(seen, block * m)
+        sizes[block] = np.diff(starts, append=seen.size)
+        excess[block] = np.add.reduceat(outdeg[seen % m], starts) - sizes[block]
+    return _ScanResult(sizes, eccs, excess)
 
 
 def spectra(view: OutsideView) -> tuple[np.ndarray, int, int]:
@@ -466,7 +469,7 @@ def outside_report(
     scc_cap: int = SCC_SIZE_CAP,
     collect: frozenset[str] = FULL_COLLECT,
 ) -> OutsideReport:
-    """Compute the report, sharing one per-vertex scan across statistics.
+    """Compute the report, sharing one forward scan across statistics.
 
     ``collect`` selects statistic groups ("cycles", "spectra", "distances");
     skipped groups come back as None.  The default computes everything.

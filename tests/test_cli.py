@@ -113,6 +113,28 @@ def test_invalid_value_exit_code_other_subcommands(tmp_path, capsys):
         assert err.count("\n") == 1 and err.startswith("invalid input: "), argv
 
 
+NEED_INPUT = "either --in FILE or all of --n/--k/--seed are required"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--n", "10"], NEED_INPUT),
+        (["analyze", "--n", "10", "--k", "2"], NEED_INPUT),
+        (
+            ["generate", "--n", "10", "--k", "2", "--seed", "1", "--format", "bin"],
+            "--format bin requires --out FILE",
+        ),
+    ],
+    ids=["analyze-n", "analyze-n-k", "generate-bin-no-out"],
+)
+def test_flag_combination_exit_code(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
 def test_phase_csv(capsys):
     out = run_cli(
         capsys, "phase", "--n", "40", "--kmin", "2", "--kmax", "3",

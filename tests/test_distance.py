@@ -104,7 +104,7 @@ def test_typical_distance_matches_bfs_small():
 def test_pair_search_matches_brute_distance(rows):
     # one search object answers every ordered pair, so a label left over from
     # an earlier pair would show up as a wrong distance
-    search = _PairSearch(digraph_from_rows(rows).endpoints)
+    search = _PairSearch(digraph_from_rows(rows))
     n = len(rows)
     for src in range(n):
         for dst in range(n):

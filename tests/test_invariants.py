@@ -7,10 +7,11 @@ from collections import deque
 import numpy as np
 import pytest
 
+from kout import outside
 from kout.decompose import decompose
 from kout.digraph import RngSpec, generate
 from kout.distance import typical_distance
-from kout.outside import max_full_spectrum, outside_report
+from kout.outside import _scan, max_full_spectrum, outside_report, outside_view
 
 CASES = [(10_000, 0), (10_000, 1), (100_000, 2)]
 
@@ -113,6 +114,19 @@ def test_spectra_sizes_match_bfs_at_sampled_vertices(replicate):
     for i in picks[:10].tolist():
         full = forward_closure(g.endpoints, [outside[i]]).sum()
         assert full == rep.spectra_sizes[i] + dec.giant.size
+
+
+def test_scan_blocks_do_not_change_the_result(replicate, monkeypatch):
+    # hundreds-source blocks put dozens of block seams into one scan
+    g, dec, rep = replicate
+    view = outside_view(g, dec.giant)
+    assert view.size > 2 * 500
+    whole = _scan(view)
+    assert np.array_equal(whole.sizes, rep.spectra_sizes)
+    monkeypatch.setattr(outside, "SCAN_BLOCK", 500)
+    blocked = _scan(view)
+    for a, b in zip(blocked, whole):
+        assert np.array_equal(a, b)
 
 
 def test_max_full_spectrum_is_max_outside_plus_giant(replicate):

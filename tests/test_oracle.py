@@ -6,6 +6,7 @@ import pytest
 from kout.constants import solve_tau
 from kout.oracle import (
     brute_cycles,
+    brute_eccentricities,
     brute_giant,
     brute_k_surjection_sets,
     brute_longest_path,
@@ -155,6 +156,9 @@ def test_brute_spectrum_and_paths():
     assert sizes == {0: 3, 1: 2, 2: 1}
     assert brute_longest_path(CHAIN) == 2
     assert brute_max_eccentricity(CHAIN) == 2
+    assert brute_eccentricities(CHAIN) == {0: 2, 1: 1, 2: 0}
+    assert brute_eccentricities(CYCLE3, within={0, 1}) == {0: 1, 1: 0}
+    assert brute_max_eccentricity(CHAIN, within=set()) == 0
     # 3-cycle with an exit arc to a sink: longest simple path has 3 arcs
     g = [(1, 1), (2, 2), (0, 3), (3, 3)]
     assert brute_longest_path(g, within={0, 1, 2, 3}) == 3

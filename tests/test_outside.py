@@ -1,17 +1,23 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import digraph_from_rows, endpoint_tables
+from kout import outside
 from kout.decompose import decompose
 from kout.digraph import RngSpec, generate
 from kout.errors import ComponentCapError, CycleCapError
 from kout.oracle import (
     brute_cycles,
+    brute_eccentricities,
     brute_longest_path,
     brute_max_eccentricity,
     brute_spectrum_sizes,
 )
 from kout.outside import (
+    _scan,
     distance_to_giant,
     eccentricity_max,
     enumerate_cycles,
@@ -31,6 +37,18 @@ def make_view(rows):
 
 def outside_set(g, d):
     return set(range(g.n)) - set(d.giant.tolist())
+
+
+def closure_within(rows, allowed, v):
+    """Vertices reachable from v through ``allowed`` vertices, v included."""
+    seen = {v}
+    todo = [v]
+    while todo:
+        for u in rows[todo.pop()]:
+            if u in allowed and u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen
 
 
 def test_cycles_acyclic_outside():
@@ -123,24 +141,35 @@ def test_arc_excess_by_direct_recount(rows):
     g, d, view = make_view(rows)
     if view.size == 0:
         return
-    from kout.outside import _scan
-
     scan = _scan(view)
     out = outside_set(g, d)
-    rows_list = [list(r) for r in rows]
     for local, orig in enumerate(view.vertices.tolist()):
-        seen = {orig}
-        todo = [orig]
-        while todo:
-            v = todo.pop()
-            for u in rows_list[v]:
-                if u in out and u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        arcs = sum(1 for v in seen for u in rows_list[v] if u in seen)
+        seen = closure_within(rows, out, orig)
+        arcs = sum(1 for v in seen for u in rows[v] if u in seen)
         assert scan.excess[local] == arcs - len(seen)
         if scan.excess[local] < 1:
             assert arcs <= len(seen)
+
+
+@settings(max_examples=80)
+@given(endpoint_tables(max_n=9, max_k=3))
+def test_scan_matches_brute_per_vertex(rows):
+    # sizes, eccentricities and arc excess of every view vertex, against the
+    # oracles and a direct arc recount; a two-source block puts block seams
+    # between almost every pair of sources
+    g, d, view = make_view(rows)
+    out = outside_set(g, d)
+    sizes = brute_spectrum_sizes(rows, within=out)
+    eccs = brute_eccentricities(rows, within=out)
+    scan = _scan(view)
+    for local, orig in enumerate(view.vertices.tolist()):
+        seen = closure_within(rows, out, orig)
+        arcs = sum(1 for v in seen for u in rows[v] if u in seen)
+        got = (scan.sizes[local], scan.eccs[local], scan.excess[local])
+        assert got == (sizes[orig], eccs[orig], arcs - len(seen)), orig
+    with mock.patch.object(outside, "SCAN_BLOCK", 2):
+        small = _scan(view)
+    assert all(np.array_equal(a, b) for a, b in zip(small, scan))
 
 
 @settings(max_examples=60)
