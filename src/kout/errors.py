@@ -38,7 +38,7 @@ class CycleCapError(RuntimeError):
 
     def __init__(self, cap: int, replicate: int | None = None):
         where = _replicate_prefix(replicate)
-        super().__init__(f"{where}more than {cap} elementary cycles (cap={cap})")
+        super().__init__(f"{where}more than {cap} elementary cycles")
         self.cap = cap
         self.replicate = replicate
 

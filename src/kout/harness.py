@@ -32,7 +32,7 @@ from .constants import ModelConstants
 from .decompose import decompose
 from .digraph import RngSpec, count_multi_pairs, count_self_loops, generate
 from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
-from .outside import CYCLE_CAP, SCC_SIZE_CAP, outside_report
+from .outside import outside_report
 
 __all__ = [
     "ExperimentConfig",
@@ -92,8 +92,6 @@ class ExperimentConfig:
     reps: int
     seed: int
     collect: frozenset[str] = DEFAULT_COLLECT
-    cycle_cap: int = CYCLE_CAP
-    scc_cap: int = SCC_SIZE_CAP
     validate: bool = False
 
     def __post_init__(self) -> None:
@@ -155,13 +153,7 @@ def _run_replicate(config: ExperimentConfig, index: int) -> ReplicateRecord:
     loops = count_self_loops(g)
     multis = count_multi_pairs(g)
     dec = decompose(g)
-    rep = outside_report(
-        g,
-        dec,
-        cycle_cap=config.cycle_cap,
-        scc_cap=config.scc_cap,
-        collect=config.collect - {"core"},
-    )
+    rep = outside_report(g, dec, collect=config.collect - {"core"})
     hist = rep.cycles_by_length
     record = ReplicateRecord(
         replicate=index,

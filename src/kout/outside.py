@@ -19,11 +19,18 @@ Spectrum sizes, eccentricities and arc excess come from one scan that runs a
 level-synchronous numpy BFS from every view vertex at once, over (source,
 vertex) pairs.  Whp the part outside the giant is mostly tree-like, so the
 closures are tiny (about 1.7 vertices each on average at n = 10^6, k = 2) and
-the whole scan costs about as much as a single BFS over the view.
+the whole scan costs about as much as a single BFS over the view.  The same
+scan gives the full-digraph spectra exactly at every n: a vertex's spectrum is
+its closure in the view, plus the giant if an arc of that closure enters it.
+
+The exact searches stop at the module constants ``CYCLE_CAP`` (cycles in the
+view) and ``SCC_SIZE_CAP`` (vertices of one nontrivial component in the
+longest-path search), read at call time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,14 +55,12 @@ __all__ = [
 
 CYCLE_CAP = 10_000
 SCC_SIZE_CAP = 64
-FALLBACK_MAX_N = 5_000
 
 
 @dataclass
 class OutsideView:
     """Induced subgraph on the vertices outside the giant."""
 
-    n: int  # host digraph size
     vertices: np.ndarray  # sorted original ids
     indptr: np.ndarray  # (size + 1,) CSR row pointers over local ids
     indices: np.ndarray  # local endpoints of arcs staying outside (with multiplicity)
@@ -87,7 +92,7 @@ def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
     np.cumsum(stays.sum(axis=1), out=indptr[1:])
     indices = local[stays]
     cs = _components(indptr, indices)
-    return OutsideView(g.n, verts, indptr, indices, cs.comp, cs.height)
+    return OutsideView(verts, indptr, indices, cs.comp, cs.height)
 
 
 def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
@@ -125,11 +130,11 @@ def _nontrivial_members(view: OutsideView) -> dict[int, list[int]]:
 
 
 def _johnson_cycles_from(
-    start: int, adj: dict[int, list[int]], emit: list[list[int]], cap: int
+    start: int, adj: dict[int, list[int]], emit: list[list[int]], budget: int
 ) -> None:
     """All elementary cycles through ``start`` in the subgraph ``adj``
-    (Johnson's search, iterative).  Raises once ``emit`` outgrows ``cap`` so a
-    pathological instance fails loudly instead of exhausting memory."""
+    (Johnson's search, iterative).  Raises once ``emit`` outgrows ``budget``
+    so a pathological instance fails loudly instead of exhausting memory."""
     blocked = {start}
     barrier: dict[int, set[int]] = {}
     path = [start]
@@ -139,8 +144,8 @@ def _johnson_cycles_from(
         advanced = False
         for w in stack[-1]:
             if w == start:
-                if len(emit) >= cap:
-                    raise CycleCapError(cap)
+                if len(emit) >= budget:
+                    raise CycleCapError(CYCLE_CAP)
                 emit.append(path.copy())
                 closed[-1] = True
             elif w not in blocked:
@@ -173,16 +178,14 @@ def _rotate_min(cycle: list[int]) -> tuple[int, ...]:
     return tuple(cycle[i:] + cycle[:i])
 
 
-def enumerate_cycles(
-    view: OutsideView, cap: int = CYCLE_CAP
-) -> tuple[list[list[int]], bool]:
+def enumerate_cycles(view: OutsideView) -> tuple[list[list[int]], bool]:
     """All elementary directed cycles of the view, plus a disjointness flag.
 
     Cycles are returned in original vertex ids, each rotated to start at its
     smallest vertex, sorted.  ``vertex_disjoint`` is True iff no vertex lies
-    on two distinct cycles.  Raises :class:`CycleCapError` beyond ``cap``
-    cycles; the limit laws make the count O_p(1), so hitting the cap flags a
-    pathological instance rather than silently truncating.
+    on two distinct cycles.  Raises :class:`CycleCapError` beyond
+    ``CYCLE_CAP`` cycles; the limit laws make the count O_p(1), so hitting the
+    cap flags a pathological instance rather than silently truncating.
     """
     src, dst = view.arcs()
     # self-loops: length-1 cycles, one per vertex regardless of multiplicity
@@ -194,14 +197,14 @@ def enumerate_cycles(
         comp = components.pop()
         sub = _induced_simple(view, comp)
         root = min(comp)
-        _johnson_cycles_from(root, sub, emitted, cap - len(found))
+        _johnson_cycles_from(root, sub, emitted, CYCLE_CAP - len(found))
         comp.discard(root)
         rest = {v: [u for u in sub[v] if u != root] for v in comp}
         if rest:
             components.extend(_nontrivial_sccs(rest))
     found.extend(_rotate_min(c) for c in emitted)
-    if len(found) > cap:
-        raise CycleCapError(cap)
+    if len(found) > CYCLE_CAP:
+        raise CycleCapError(CYCLE_CAP)
     found = sorted(set(found))
     seen: set[int] = set()
     disjoint = True
@@ -265,15 +268,12 @@ def spectra(view: OutsideView) -> tuple[np.ndarray, int, int]:
     """Per-vertex spectrum sizes inside the view, their max, and the number of
     vertices whose spectrum induces at least one arc more than its size."""
     r = _scan(view)
-    max_spec = int(r.sizes.max()) if r.sizes.size else 0
-    violations = int((r.excess >= 1).sum())
-    return r.sizes, max_spec, violations
+    return r.sizes, int(r.sizes.max(initial=0)), int((r.excess >= 1).sum())
 
 
 def eccentricity_max(view: OutsideView) -> int:
     """Largest finite BFS distance between two view vertices."""
-    r = _scan(view)
-    return int(r.eccs.max()) if r.eccs.size else 0
+    return int(_scan(view).eccs.max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +311,13 @@ def distance_to_giant(g: KOutDigraph, giant_set: np.ndarray) -> GiantDistances:
 
 
 def _within_longest(
-    comp: list[int], adj_c: dict[int, list[int]], cap: int
+    comp: list[int], adj_c: dict[int, list[int]]
 ) -> dict[int, dict[int, int]]:
     """All-pairs longest simple path lengths inside one strongly connected
     component, by exhaustive search.  Exponential in principle; in this model
     these components are short cycles with overwhelming probability."""
-    if len(comp) > cap:
-        raise ComponentCapError(len(comp), cap)
+    if len(comp) > SCC_SIZE_CAP:
+        raise ComponentCapError(len(comp), SCC_SIZE_CAP)
     pos = {v: i for i, v in enumerate(comp)}
     best: dict[int, dict[int, int]] = {}
     for u in comp:
@@ -336,7 +336,7 @@ def _within_longest(
     return best
 
 
-def longest_path(view: OutsideView, scc_cap: int = SCC_SIZE_CAP) -> int:
+def longest_path(view: OutsideView) -> int:
     """Exact length (in arcs) of the longest simple directed path in the view.
 
     Longest-path DP over the view's condensation, one height level at a time
@@ -344,7 +344,7 @@ def longest_path(view: OutsideView, scc_cap: int = SCC_SIZE_CAP) -> int:
     is relaxed.  Singleton components pass on the best path arriving at them
     in one numpy step per level; passage through a nontrivial SCC is resolved
     exactly by exhaustive search over its simple paths, which errors out above
-    ``scc_cap`` vertices.
+    ``SCC_SIZE_CAP`` vertices.
     """
     if view.size == 0:
         return 0
@@ -362,7 +362,7 @@ def longest_path(view: OutsideView, scc_cap: int = SCC_SIZE_CAP) -> int:
     best = np.zeros(view.size, dtype=np.int64)  # longest path ending at v
     for h in range(top, -1, -1):
         for comp in nontrivial.get(h, ()):
-            within = _within_longest(comp, _induced_simple(view, comp), scc_cap)
+            within = _within_longest(comp, _induced_simple(view, comp))
             arrive = best[comp].tolist()
             for w in comp:
                 best[w] = max(
@@ -378,56 +378,28 @@ def longest_path(view: OutsideView, scc_cap: int = SCC_SIZE_CAP) -> int:
 
 
 def _full_spectra(
-    view: OutsideView, sizes: np.ndarray | None, giant_size: int
+    g: KOutDigraph, dec: Decomposition, view: OutsideView, scan: _ScanResult
 ) -> tuple[int, int]:
-    """(max |Spec(v)|, |Spec(0)|) when every vertex reaches the giant, from
-    the outside spectrum sizes (None for an empty view)."""
-    if sizes is None:
-        return giant_size, giant_size
-    spec0 = giant_size + (int(sizes[0]) if view.vertices[0] == 0 else 0)
-    return int(sizes.max()) + giant_size, spec0
+    """(max over all vertices of |Spec(v)|, |Spec(vertex 0)|) from the scan.
 
-
-def max_full_spectrum(
-    g: KOutDigraph, dec: Decomposition, fallback_max_n: int = FALLBACK_MAX_N
-) -> tuple[int, int]:
-    """(max over all vertices of |Spec(v)|, |Spec(vertex 0)|).
-
-    The giant is closed, so the set reachable from it is the giant itself.
-    When every vertex reaches the giant, |Spec(v)| is therefore |giant| for v
-    in the giant and |Spec_out(v)| + |giant| outside it, with Spec_out(v) the
-    spectrum inside the outside view: one outside scan suffices.  Otherwise
-    falls back to exact per-component reachability over the condensation
-    (bitsets), which is only sensible at small n.
+    The giant is closed, so the spectrum of a giant vertex is the giant.  A
+    view closure is closed in the view, so every arc of its members that the
+    scan does not count enters the giant: v reaches the giant iff the closure
+    counts fewer than k arcs per member, and then |Spec(v)| is its closure
+    plus the giant.
     """
-    if dec.all_reach_giant:
-        view = outside_view(g, dec.giant)
-        sizes = _scan(view).sizes if view.size else None
-        return _full_spectra(view, sizes, dec.giant.size)
-    if g.n > fallback_max_n:
-        raise ValueError(
-            f"exact reachability fallback limited to n <= {fallback_max_n}, got n={g.n}"
-        )
-    ncomp = dec.n_components
-    sizes = np.diff(dec.member_indptr).tolist()
-    bounds = dec.cond_indptr.tolist()
-    succ = dec.cond_indices.tolist()
-    reach = [0] * ncomp
-    totals = [0] * ncomp
-    for c in range(ncomp):  # ids are reverse-topological: successors come first
-        mask = 1 << c
-        for s in succ[bounds[c] : bounds[c + 1]]:
-            mask |= reach[s]
-        reach[c] = mask
-        t = 0
-        bits = mask
-        while bits:
-            low = bits & -bits
-            t += sizes[low.bit_length() - 1]
-            bits ^= low
-        totals[c] = t
-    per_vertex = [totals[c] for c in dec.scc_id.tolist()]
-    return max(per_vertex), per_vertex[0]
+    giant = dec.giant.size
+    reach = scan.excess + scan.sizes < g.k * scan.sizes
+    full = scan.sizes + giant * reach
+    spec0 = int(full[0]) if view.size and view.vertices[0] == 0 else giant
+    return max(giant, int(full.max(initial=0))), spec0
+
+
+def max_full_spectrum(g: KOutDigraph, dec: Decomposition) -> tuple[int, int]:
+    """(max over all vertices of |Spec(v)|, |Spec(vertex 0)|), exact at every
+    n, whether or not every vertex reaches the giant."""
+    view = outside_view(g, dec.giant)
+    return _full_spectra(g, dec, view, _scan(view))
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +410,23 @@ def max_full_spectrum(
 class OutsideReport:
     """Everything measured on the induced subgraph outside the giant.
 
-    Fields are None when their statistic group was not collected; the two
-    full-spectrum fields are additionally None when some vertex misses the
-    giant on an instance too large for the exact fallback.
+    Fields are None when their statistic group was not collected.
     """
 
-    cycles: list[list[int]] | None  # original vertex ids, min-rotated, sorted
-    cycles_by_length: dict[int, int] | None
-    total_cycles: int | None
-    vertex_disjoint: bool | None
-    longest_cycle: int | None
-    spectra_sizes: np.ndarray | None  # indexed like sorted outside vertices
-    max_spectrum: int | None
-    arc_excess_violations: int | None
-    w: int | None
-    w_unreachable: int | None
-    d: int | None
-    m: int | None
-    max_full_spectrum: int | None
-    spectrum_of_zero: int | None
+    cycles: list[list[int]] | None = None  # original vertex ids, min-rotated, sorted
+    cycles_by_length: dict[int, int] | None = None
+    total_cycles: int | None = None
+    vertex_disjoint: bool | None = None
+    longest_cycle: int | None = None
+    spectra_sizes: np.ndarray | None = None  # indexed like sorted outside vertices
+    max_spectrum: int | None = None
+    arc_excess_violations: int | None = None
+    w: int | None = None
+    w_unreachable: int | None = None
+    d: int | None = None
+    m: int | None = None
+    max_full_spectrum: int | None = None
+    spectrum_of_zero: int | None = None
 
 
 FULL_COLLECT = frozenset({"cycles", "spectra", "distances"})
@@ -465,8 +435,6 @@ FULL_COLLECT = frozenset({"cycles", "spectra", "distances"})
 def outside_report(
     g: KOutDigraph,
     dec: Decomposition,
-    cycle_cap: int = CYCLE_CAP,
-    scc_cap: int = SCC_SIZE_CAP,
     collect: frozenset[str] = FULL_COLLECT,
 ) -> OutsideReport:
     """Compute the report, sharing one forward scan across statistics.
@@ -478,57 +446,24 @@ def outside_report(
     if unknown:
         raise ValueError(f"unknown collect groups: {sorted(unknown)}")
     view = outside_view(g, dec.giant)
+    rep = OutsideReport()
 
-    cycles: list[list[int]] | None = None
-    by_len: dict[int, int] | None = None
-    disjoint = None
     if "cycles" in collect:
-        cycles, disjoint = enumerate_cycles(view, cap=cycle_cap)
-        by_len = {}
-        for c in cycles:
-            by_len[len(c)] = by_len.get(len(c), 0) + 1
+        rep.cycles, rep.vertex_disjoint = enumerate_cycles(view)
+        rep.cycles_by_length = dict(Counter(len(c) for c in rep.cycles))
+        rep.total_cycles = len(rep.cycles)
+        rep.longest_cycle = max(rep.cycles_by_length, default=0)
 
-    scan = None
-    maxfull = spec0 = None
-    m_stat = None
     if "spectra" in collect:
-        scan = _scan(view) if view.size else None
-        if dec.all_reach_giant:
-            maxfull, spec0 = _full_spectra(
-                view, scan.sizes if scan is not None else None, dec.giant.size
-            )
-        elif g.n <= FALLBACK_MAX_N:
-            maxfull, spec0 = max_full_spectrum(g, dec)
-        # Otherwise exact full-graph spectra are unsupported at this size when
-        # some vertex misses the giant; all_reach_giant=False flags the gap.
-        m_stat = longest_path(view, scc_cap=scc_cap)
+        scan = _scan(view)
+        rep.spectra_sizes = scan.sizes
+        rep.max_spectrum = int(scan.sizes.max(initial=0))
+        rep.arc_excess_violations = int((scan.excess >= 1).sum())
+        rep.d = int(scan.eccs.max(initial=0))
+        rep.max_full_spectrum, rep.spectrum_of_zero = _full_spectra(g, dec, view, scan)
+        rep.m = longest_path(view)
 
-    dist = distance_to_giant(g, dec.giant) if "distances" in collect else None
-    return OutsideReport(
-        cycles=cycles,
-        cycles_by_length=by_len,
-        total_cycles=len(cycles) if cycles is not None else None,
-        vertex_disjoint=disjoint,
-        longest_cycle=(max(by_len) if by_len else 0) if by_len is not None else None,
-        spectra_sizes=scan.sizes if scan is not None else None,
-        max_spectrum=(
-            (int(scan.sizes.max()) if scan is not None and scan.sizes.size else 0)
-            if "spectra" in collect
-            else None
-        ),
-        arc_excess_violations=(
-            (int((scan.excess >= 1).sum()) if scan is not None else 0)
-            if "spectra" in collect
-            else None
-        ),
-        w=dist.w if dist is not None else None,
-        w_unreachable=dist.unreached if dist is not None else None,
-        d=(
-            (int(scan.eccs.max()) if scan is not None and scan.eccs.size else 0)
-            if "spectra" in collect
-            else None
-        ),
-        m=m_stat,
-        max_full_spectrum=maxfull,
-        spectrum_of_zero=spec0,
-    )
+    if "distances" in collect:
+        dist = distance_to_giant(g, dec.giant)
+        rep.w, rep.w_unreachable = dist.w, dist.unreached
+    return rep

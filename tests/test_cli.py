@@ -1,9 +1,8 @@
-import dataclasses
 import json
 
 import pytest
 
-from kout import harness
+from kout import harness, outside
 from kout.cli import main
 from kout.digraph import MAGIC, deserialize
 
@@ -192,10 +191,11 @@ def test_montecarlo_cap_error_exit_code(monkeypatch, capsys):
     # run the real replicates with a cycle cap of 0, which the first cycle trips
     real = harness.run_experiment
 
-    def capped(config, workers=None):
-        return real(dataclasses.replace(config, cycle_cap=0), workers=1)
+    def serial(config, workers=None):
+        return real(config, workers=1)
 
-    monkeypatch.setattr(harness, "run_experiment", capped)
+    monkeypatch.setattr(outside, "CYCLE_CAP", 0)
+    monkeypatch.setattr(harness, "run_experiment", serial)
     code = main(["montecarlo", "--n", "300", "--k", "2", "--reps", "20", "--seed", "2"])
     assert code == 4
     err = capsys.readouterr().err

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from kout import outside
 from kout.constants import derive_constants
 from kout.errors import ComponentCapError, CycleCapError, SettingError
 from kout.harness import (
@@ -218,9 +219,10 @@ def test_validate_mode_passes_on_healthy_runs():
     assert len(records) == 4
 
 
-def test_replicate_error_tagged():
+def test_replicate_error_tagged(monkeypatch):
     # force a failure inside the replicate: cycle cap of 0 trips immediately
-    cfg = ExperimentConfig(n=300, k=2, reps=1, seed=2, cycle_cap=0)
+    monkeypatch.setattr(outside, "CYCLE_CAP", 0)
+    cfg = ExperimentConfig(n=300, k=2, reps=1, seed=2)
     found = None
     for i in range(20):
         try:
@@ -234,8 +236,10 @@ def test_replicate_error_tagged():
     assert str(exc).startswith(f"replicate {i}: ")
 
 
-def test_cap_error_keeps_type_across_worker_pool():
-    cfg = ExperimentConfig(n=300, k=2, reps=20, seed=2, cycle_cap=0)
+def test_cap_error_keeps_type_across_worker_pool(monkeypatch):
+    # the forked workers inherit the patched cap
+    monkeypatch.setattr(outside, "CYCLE_CAP", 0)
+    cfg = ExperimentConfig(n=300, k=2, reps=20, seed=2)
     with pytest.raises(CycleCapError) as info:
         run_experiment(cfg, workers=2)
     assert info.value.replicate is not None

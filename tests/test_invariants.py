@@ -9,7 +9,7 @@ import pytest
 
 from kout import outside
 from kout.decompose import decompose
-from kout.digraph import RngSpec, generate
+from kout.digraph import KOutDigraph, RngSpec, generate
 from kout.distance import typical_distance
 from kout.outside import _scan, max_full_spectrum, outside_report, outside_view
 
@@ -136,6 +136,46 @@ def test_max_full_spectrum_is_max_outside_plus_giant(replicate):
     assert rep.max_full_spectrum == want
     assert max_full_spectrum(g, dec) == (want, rep.spectrum_of_zero)
     assert rep.spectrum_of_zero == forward_closure(g.endpoints, [0]).sum()
+
+
+def test_full_spectra_when_vertex_zero_misses_the_giant():
+    # vertex 0 rewired to two self-loops is a second closed component; in this
+    # draw vertex 0 lies outside the one-in-core, so no giant vertex has an arc
+    # into it and the giant stays closed
+    base = generate(10_000, 2, RngSpec(606, 1))
+    core = decompose(base).one_in_core
+    assert 0 not in core
+    endpoints = base.endpoints.copy()
+    endpoints[0] = 0
+    # more vertices outside the core: ten keep one arc and also reach the
+    # giant, ten send both arcs into vertex 0 and miss it
+    tree = np.setdiff1d(np.arange(1, base.n), core)[:20]
+    endpoints[tree[:10], 0] = 0
+    endpoints[tree[10:]] = 0
+    g = KOutDigraph(base.n, base.k, endpoints)
+    dec = decompose(g)
+    assert not dec.all_reach_giant
+    rep = outside_report(g, dec)
+    assert rep.spectrum_of_zero == 1
+    best = max_full_spectrum(g, dec)
+    assert best == (rep.max_full_spectrum, 1)
+    # which vertices reach the giant, by a plain backward sweep
+    reaches = np.zeros(g.n, dtype=bool)
+    reaches[dec.giant] = True
+    while True:
+        hits = ~reaches & reaches[g.endpoints].any(1)
+        if not hits.any():
+            break
+        reaches |= hits
+    assert not reaches[tree[10:]].any() and reaches[tree[:10]].all()
+    outside_ids = np.setdiff1d(np.arange(g.n), dec.giant)
+    full = rep.spectra_sizes + dec.giant.size * reaches[outside_ids]
+    argmax = int(outside_ids[np.argmax(full)])
+    assert best[0] == forward_closure(g.endpoints, [argmax]).sum()
+    gen = np.random.default_rng(1)
+    picks = np.union1d(gen.choice(g.n, size=200, replace=False), tree)
+    for v in picks.tolist():
+        assert best[0] >= forward_closure(g.endpoints, [v]).sum()
 
 
 def bfs_distances(endpoints: np.ndarray, src: int) -> np.ndarray:

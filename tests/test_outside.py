@@ -82,10 +82,22 @@ def test_cycles_parallel_arcs_count_once():
     assert cycles == [[1, 2]]
 
 
-def test_cycle_cap():
+def test_cycle_cap(monkeypatch):
     g, d, view = make_view([(0, 0), (2, 3), (1, 0), (1, 0)])
-    with pytest.raises(CycleCapError):
-        enumerate_cycles(view, cap=1)
+    monkeypatch.setattr(outside, "CYCLE_CAP", 1)
+    with pytest.raises(CycleCapError) as info:
+        enumerate_cycles(view)
+    assert info.value.cap == 1
+
+
+def test_cycle_cap_error_names_the_cap_after_self_loops(monkeypatch):
+    # the self-loop [3] uses up one of the two allowed cycles before Johnson's
+    # search finds [1, 2] and [1, 3]; the error still names the cap
+    g, d, view = make_view([(0, 0), (2, 3), (1, 0), (1, 3)])
+    monkeypatch.setattr(outside, "CYCLE_CAP", 2)
+    with pytest.raises(CycleCapError) as info:
+        enumerate_cycles(view)
+    assert info.value.cap == 2
 
 
 @settings(max_examples=60)
@@ -225,11 +237,12 @@ def test_longest_path_cycle_with_exit():
     assert brute_longest_path(rows, within=outside_set(g, d)) == 3
 
 
-def test_longest_path_component_cap():
+def test_longest_path_component_cap(monkeypatch):
     rows = [(0, 0), (2, 0), (3, 0), (1, 0)]  # outside 3-cycle
     g, d, view = make_view(rows)
+    monkeypatch.setattr(outside, "SCC_SIZE_CAP", 2)
     with pytest.raises(ComponentCapError):
-        longest_path(view, scc_cap=2)
+        longest_path(view)
 
 
 @settings(max_examples=60)
@@ -267,12 +280,10 @@ def test_max_full_spectrum_fallback():
     d = decompose(g)
     assert not d.all_reach_giant
     assert max_full_spectrum(g, d) == (3, 1)  # Spec(2) = {0,1,2}, Spec(0) = {0}
-    with pytest.raises(ValueError):
-        max_full_spectrum(g, d, fallback_max_n=2)
 
 
 @settings(max_examples=40)
-@given(endpoint_tables(max_n=8, max_k=2))
+@given(endpoint_tables(max_n=8, max_k=3))
 def test_max_full_spectrum_matches_brute(rows):
     g = digraph_from_rows(rows)
     d = decompose(g)
