@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: constants, generate, analyze, distance, phase, surjection,
-oracle (enumerate | stirling | gw), montecarlo.  ``montecarlo`` exits 0 on
-success, 2 on an invariant violation, 3 on an I/O error, 4 when a replicate
-hits the cycle or component cap of the exact search, and 5 on an invalid
-``KOUT_THREADS``; each failure is reported in one line on stderr.  Every
-subcommand exits 2, as argparse does for a malformed flag, when an argument
-value or combination is rejected (a ``ValueError``, e.g. ``--pairs 0``, or
-``analyze`` without ``--in`` or a full ``--n/--k/--seed``), printing one line
-on stderr instead of a traceback.
+oracle (enumerate | stirling | gw), montecarlo.  Every subcommand exits 0 on
+success and reports a failure in one line on stderr, ``"{label}: {message}"``,
+with the exit code of the first matching row of ``_FAILURES``: 5 for an
+invalid ``KOUT_THREADS``; 2 for a rejected argument value, flag combination
+or input file (a ``ValueError``, e.g. ``--pairs 0``, or ``analyze`` without
+``--in`` or a full ``--n/--k/--seed``), as argparse does for a malformed flag,
+and for an invariant violation under ``montecarlo --validate``; 3 for an I/O
+error; 4 when an exact search outside the giant or a rejection sampler
+exceeds its cap.  Any other exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ import time
 
 import numpy as np
 
-from . import digraph, harness, oracle
+from . import digraph, errors, harness, oracle
 from .constants import derive_constants, solve_tau
 from .decompose import decompose
 from .distance import phase_sweep, typical_distance
-from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
 from .outside import outside_report
 from .surjection import sample_surjection
 
@@ -46,9 +46,14 @@ def _jsonable(obj):
     return obj
 
 
-def _print_json(obj) -> None:
-    json.dump(_jsonable(obj), sys.stdout, indent=1)
-    sys.stdout.write("\n")
+def _emit(payload: dict, as_json: bool, keys=None) -> None:
+    """Print ``payload`` as JSON, or one ``key = value`` line per key (all by default)."""
+    if as_json:
+        json.dump(_jsonable(payload), sys.stdout, indent=1)
+        sys.stdout.write("\n")
+    else:
+        for key in payload if keys is None else keys:
+            print(f"{key} = {payload[key]}")
 
 
 def _cmd_constants(args) -> int:
@@ -56,11 +61,7 @@ def _cmd_constants(args) -> int:
     if args.tol is not None:
         # derive_constants always solves at 1e-12; report the requested-tol root too
         d["tau_at_tol"] = solve_tau(args.k, args.tol)
-    if args.json:
-        _print_json(d)
-    else:
-        for name, value in d.items():
-            print(f"{name} = {value}")
+    _emit(d, args.json)
     return 0
 
 
@@ -98,6 +99,13 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+_ANALYZE_KEYS = (
+    "n", "k", "giant_size", "core_size", "middle_size", "outside_size",
+    "all_reach_giant", "total_cycles", "longest_cycle", "max_spectrum",
+    "w", "d", "m", "max_full_spectrum",
+)
+
+
 def _cmd_analyze(args) -> int:
     g = _load_digraph(args)
     dec = decompose(g)
@@ -113,26 +121,7 @@ def _cmd_analyze(args) -> int:
         "n_components": dec.n_components,
         **dataclasses.asdict(rep),
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        for key in (
-            "n",
-            "k",
-            "giant_size",
-            "core_size",
-            "middle_size",
-            "outside_size",
-            "all_reach_giant",
-            "total_cycles",
-            "longest_cycle",
-            "max_spectrum",
-            "w",
-            "d",
-            "m",
-            "max_full_spectrum",
-        ):
-            print(f"{key} = {payload[key]}")
+    _emit(payload, args.json, _ANALYZE_KEYS)
     return 0
 
 
@@ -153,11 +142,8 @@ def _cmd_distance(args) -> int:
         "distances": sample.distances,
         "ms_elapsed": ms_elapsed,
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        for key in ("pairs_drawn", "finite_count", "finite_fraction", "mean_finite_distance"):
-            print(f"{key} = {payload[key]}")
+    keys = ("pairs_drawn", "finite_count", "finite_fraction", "mean_finite_distance")
+    _emit(payload, args.json, keys)
     return 0
 
 
@@ -182,6 +168,8 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_surjection(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
     samples = [
         sample_surjection(args.m, args.k, digraph.RngSpec(args.seed, i))
         for i in range(args.count)
@@ -195,11 +183,7 @@ def _cmd_surjection(args) -> int:
         "max_retries": max(retries),
         "mappings": [s.mapping.tolist() for s in samples],
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        print(f"mean_retries = {payload['mean_retries']}")
-        print(f"max_retries = {payload['max_retries']}")
+    _emit(payload, args.json, ("mean_retries", "max_retries"))
     return 0
 
 
@@ -215,11 +199,7 @@ def _cmd_oracle_enumerate(args) -> int:
         "ksurj_counts": dict(tally.ksurj_counts),
         "cycle_count_hist": dict(tally.cycle_count_hist),
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key} = {value}")
+    _emit(payload, args.json)
     return 0
 
 
@@ -229,10 +209,11 @@ def _cmd_oracle_stirling(args) -> int:
 
 
 def _cmd_oracle_gw(args) -> int:
-    ext = oracle.gw_extinction(args.mu, args.k, args.m)
-    bound = oracle.gw_bound(args.mu, args.k, args.m)
-    print(f"extinction = {ext}")
-    print(f"bound = {bound}")
+    payload = {
+        "extinction": oracle.gw_extinction(args.mu, args.k, args.m),
+        "bound": oracle.gw_bound(args.mu, args.k, args.m),
+    }
+    _emit(payload, as_json=False)
     return 0
 
 
@@ -251,28 +232,15 @@ def _cmd_montecarlo(args) -> int:
         collect=collect_map[args.collect],
         validate=args.validate,
     )
-    try:
-        records = harness.run_experiment(config)
-        if args.out:
-            if args.format == "csv":
-                harness.write_csv(records, args.out)
-            else:
-                harness.write_json(records, args.out)
-        consts = derive_constants(args.k) if args.k >= 2 else None
-        if consts is not None and len(records) >= 2:
-            _print_json(harness.summarize(records, consts).as_dict())
-    except InvariantViolationError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except (CycleCapError, ComponentCapError) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 4
-    except SettingError as exc:
-        print(f"invalid setting: {exc}", file=sys.stderr)
-        return 5
+    records = harness.run_experiment(config)
+    if args.out:
+        if args.format == "csv":
+            harness.write_csv(records, args.out)
+        else:
+            harness.write_json(records, args.out)
+    if args.k >= 2 and len(records) >= 2:
+        summary = harness.summarize(records, derive_constants(args.k))
+        _emit(summary.as_dict(), as_json=True)
     return 0
 
 
@@ -365,13 +333,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception types, exit code, stderr label); the first match wins, so
+# SettingError, a ValueError, must precede ValueError
+_FAILURES = (
+    (errors.SettingError, 5, "invalid setting"),
+    (ValueError, 2, "invalid input"),
+    (errors.InvariantViolationError, 2, "invariant violation"),
+    (OSError, 3, "i/o error"),
+    (
+        (errors.CycleCapError, errors.ComponentCapError, errors.RejectionLimitError),
+        4,
+        "cap exceeded",
+    ),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        for types, code, label in _FAILURES:
+            if isinstance(exc, types):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -74,7 +74,10 @@ class KOutDigraph:
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
-        ep = np.asarray(self.endpoints, dtype=np.int64)
+        ep = np.asarray(self.endpoints)
+        if ep.dtype.kind not in "iu":
+            raise ValueError(f"endpoints must be integers, got dtype {ep.dtype}")
+        ep = ep.astype(np.int64, copy=False)
         if ep.shape != (self.n, self.k):
             raise ValueError(f"endpoints shape {ep.shape} != ({self.n}, {self.k})")
         if ep.size and (ep.min() < 0 or ep.max() >= self.n):
@@ -131,24 +134,22 @@ def _rows_simple(endpoints: np.ndarray) -> bool:
     return True
 
 
-def generate_simple(
-    n: int, k: int, rng: RngSpec, attempt_cap: int = SIMPLE_ATTEMPT_CAP
-) -> tuple[KOutDigraph, int]:
+def generate_simple(n: int, k: int, rng: RngSpec) -> tuple[KOutDigraph, int]:
     """Rejection-sample a digraph with no self-loops or repeated row entries.
 
     Uniform over simple k-out digraphs.  The acceptance probability tends to
-    exp(-k - k(k-1)/2), so the cap fails loudly for k beyond ~5 instead of
-    hanging.
+    exp(-k - k(k-1)/2), so the cap ``SIMPLE_ATTEMPT_CAP`` (read at call time)
+    fails loudly for k beyond ~5 instead of hanging.
     """
     if n <= k:
         raise ValueError(f"simple k-out digraphs need n > k, got n={n}, k={k}")
     gen = rng.generator()
-    for attempt in range(1, attempt_cap + 1):
+    for attempt in range(1, SIMPLE_ATTEMPT_CAP + 1):
         ep = _random_endpoints(n, k, gen)
         if _rows_simple(ep):
             return KOutDigraph(n, k, ep), attempt
     raise RejectionLimitError(
-        f"no simple digraph with n={n}, k={k}", attempts=attempt_cap
+        f"no simple digraph with n={n}, k={k}", attempts=SIMPLE_ATTEMPT_CAP
     )
 
 
@@ -211,6 +212,9 @@ def digraph_to_json(g: KOutDigraph) -> str:
 def digraph_from_json(text: str) -> KOutDigraph:
     try:
         obj = json.loads(text)
-        return KOutDigraph(int(obj["n"]), int(obj["k"]), np.asarray(obj["endpoints"]))
+        n, k = obj["n"], obj["k"]
+        if type(n) is not int or type(k) is not int:
+            raise ValueError(f"malformed digraph JSON: n={n!r}, k={k!r} are not integers")
+        return KOutDigraph(n, k, np.asarray(obj["endpoints"]))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed digraph JSON: {exc}") from exc

@@ -25,6 +25,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -204,10 +205,6 @@ def _validate_record(g, dec, record: ReplicateRecord, cycles) -> None:
         raise InvariantViolationError(f"D={record.d} exceeds M={record.m}")
 
 
-def _replicate_worker(args: tuple[ExperimentConfig, int]) -> ReplicateRecord:
-    return run_replicate(*args)
-
-
 def default_workers() -> int:
     """``KOUT_THREADS`` when set (a positive integer), else min(cpu count, 8)."""
     env = os.environ.get("KOUT_THREADS")
@@ -229,11 +226,7 @@ def run_experiment(
         return [run_replicate(config, i) for i in indices]
     chunk = max(1, config.reps // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        records = list(
-            pool.map(_replicate_worker, [(config, i) for i in indices], chunksize=chunk)
-        )
-    records.sort(key=lambda r: r.replicate)
-    return records
+        return list(pool.map(run_replicate, repeat(config), indices, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------

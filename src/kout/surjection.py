@@ -37,17 +37,18 @@ class SurjectionSample:
         return np.unique(self.mapping).size == self.m
 
 
-def sample_surjection(
-    m: int, k: int, rng: RngSpec, retry_cap: int = RETRY_CAP
-) -> SurjectionSample:
-    """Draw one uniform k-out surjective table on m values."""
+def sample_surjection(m: int, k: int, rng: RngSpec) -> SurjectionSample:
+    """Draw one uniform k-out surjective table on m values.
+
+    Gives up after ``RETRY_CAP`` digraphs (read at call time).
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     n = math.ceil(m / derive_constants(k).nu)
     gen = rng.generator()
-    for attempt in range(1, retry_cap + 1):
+    for attempt in range(1, RETRY_CAP + 1):
         endpoints = _random_endpoints(n, k, gen)
         core = _core_mask(endpoints)
         if int(core.sum()) != m:
@@ -60,5 +61,5 @@ def sample_surjection(
         assert mapping.min() >= 0
         return SurjectionSample(m=m, k=k, mapping=mapping, retries=attempt)
     raise RejectionLimitError(
-        f"one-in-core never hit size {m} (n={n}, k={k})", attempts=retry_cap
+        f"one-in-core never hit size {m} (n={n}, k={k})", attempts=RETRY_CAP
     )

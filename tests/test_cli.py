@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kout import harness, outside
+import kout
+from kout import digraph, harness, outside, surjection
 from kout.cli import main
 from kout.digraph import MAGIC, deserialize
 
@@ -69,6 +74,15 @@ def test_analyze_fresh(capsys):
     assert doc["core_size"] >= doc["giant_size"]
 
 
+def test_analyze_plain_keys(capsys):
+    out = run_cli(capsys, "analyze", "--n", "30", "--k", "2", "--seed", "3")
+    assert [line.split(" = ")[0] for line in out.splitlines()] == [
+        "n", "k", "giant_size", "core_size", "middle_size", "outside_size",
+        "all_reach_giant", "total_cycles", "longest_cycle", "max_spectrum",
+        "w", "d", "m", "max_full_spectrum",
+    ]
+
+
 def test_distance_cli(capsys):
     out = run_cli(
         capsys, "distance", "--n", "200", "--k", "2", "--pairs", "50",
@@ -106,6 +120,7 @@ def test_invalid_value_exit_code_other_subcommands(tmp_path, capsys):
         ["analyze", "--in", str(bad)],
         ["phase", "--n", "10", "--kmin", "3", "--kmax", "2", "--reps", "5", "--seed", "1"],
         ["montecarlo", "--n", "20", "--k", "2", "--reps", "0", "--seed", "1"],
+        ["surjection", "--m", "5", "--k", "2", "--count", "0", "--seed", "1"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -209,3 +224,54 @@ def test_montecarlo_invalid_kout_threads(monkeypatch, capsys):
     assert code == 5
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "KOUT_THREADS='x'" in err
+
+
+def _two_cycles_json(n1: int, n2: int) -> str:
+    """k = 1 digraph: a cycle on [0, n1) and a cycle on [n1, n1 + n2)."""
+    nxt = [(v + 1) % n1 for v in range(n1)] + [n1 + (v + 1) % n2 for v in range(n2)]
+    return json.dumps({"n": n1 + n2, "k": 1, "endpoints": [[w] for w in nxt]})
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code, label",
+    [
+        # the 80-cycle lies outside the giant and exceeds SCC_SIZE_CAP = 64
+        (["analyze", "--in", "{tmp}/two_cycles.json"], None, 4, "cap exceeded"),
+        (["analyze", "--in", "{tmp}/missing.json"], None, 3, "i/o error"),
+        (
+            ["generate", "--n", "5", "--k", "2", "--seed", "1", "--out", "{tmp}/no/x.json"],
+            None, 3, "i/o error",
+        ),
+        # with seed 1 the first digraph misses the target core size / is not simple
+        (
+            ["surjection", "--m", "50", "--k", "2", "--count", "1", "--seed", "1"],
+            (surjection, "RETRY_CAP"), 4, "cap exceeded",
+        ),
+        (
+            ["generate", "--n", "20", "--k", "2", "--seed", "1", "--simple"],
+            (digraph, "SIMPLE_ATTEMPT_CAP"), 4, "cap exceeded",
+        ),
+    ],
+    ids=["analyze-cap", "analyze-missing", "generate-no-dir", "surjection-cap", "simple-cap"],
+)
+def test_failure_exit_code(tmp_path, monkeypatch, capsys, argv, patch, code, label):
+    (tmp_path / "two_cycles.json").write_text(_two_cycles_json(120, 80))
+    if patch is not None:
+        monkeypatch.setattr(*patch, 1)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"{label}: ")
+
+
+def test_entry_point_exit_code(tmp_path):
+    src = str(Path(kout.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kout", "analyze", "--in", str(tmp_path / "missing.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("i/o error: ")

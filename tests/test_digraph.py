@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import digraph_from_rows, endpoint_tables
+from kout import digraph
 from kout.digraph import (
     KOutDigraph,
     RngSpec,
@@ -56,6 +57,22 @@ def test_endpoint_validation():
         KOutDigraph(2, 2, np.array([[0, 1], [2, 0]]))
     with pytest.raises(ValueError):
         KOutDigraph(2, 2, np.array([[0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "endpoints",
+    [np.array([[1.7], [0.2]]), np.array([[True], [False]]), np.array([[1], [None]])],
+    ids=["float", "bool", "object"],
+)
+def test_endpoints_must_be_integers(endpoints):
+    with pytest.raises(ValueError, match="endpoints must be integers"):
+        KOutDigraph(2, 1, endpoints)
+
+
+def test_int64_endpoints_are_not_copied():
+    ep = np.array([[1], [0]], dtype=np.int64)
+    assert KOutDigraph(2, 1, ep).endpoints is ep
+    assert KOutDigraph(2, 1, ep.astype(np.uint32)).endpoints.dtype == np.int64
 
 
 def test_indegree_mean():
@@ -114,11 +131,12 @@ def test_generate_simple_rejects_small_n():
         generate_simple(2, 2, RngSpec(0))
 
 
-def test_generate_simple_cap():
+def test_generate_simple_cap(monkeypatch):
     # n=3, k=2 acceptance probability is 8/729; cap of 1 attempt nearly always trips
+    monkeypatch.setattr(digraph, "SIMPLE_ATTEMPT_CAP", 1)
     with pytest.raises(RejectionLimitError):
         for i in range(64):
-            generate_simple(3, 2, RngSpec(11, i), attempt_cap=1)
+            generate_simple(3, 2, RngSpec(11, i))
 
 
 def test_acceptance_probability_n3():
@@ -176,3 +194,20 @@ def test_json_form_schema():
     assert len(obj["endpoints"]) == 3 and all(len(r) == 2 for r in obj["endpoints"])
     with pytest.raises(ValueError):
         digraph_from_json("{\"n\": 2}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 2, "k": 1, "endpoints": [[1.7], [0.2]]}', "endpoints must be integers"),
+        ('{"n": 2, "k": 1, "endpoints": [[true], [false]]}', "endpoints must be integers"),
+        ('{"n": 2.0, "k": 1, "endpoints": [[1], [0]]}', "not integers"),
+        ('{"n": 2, "k": "1", "endpoints": [[1], [0]]}', "not integers"),
+        ('{"n": true, "k": 1, "endpoints": [[0]]}', "not integers"),
+    ],
+    ids=["float-endpoints", "bool-endpoints", "float-n", "string-k", "bool-n"],
+)
+def test_json_values_must_be_integers(text, message):
+    # rejected, not truncated to integers
+    with pytest.raises(ValueError, match=message):
+        digraph_from_json(text)

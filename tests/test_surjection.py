@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kout import surjection
 from kout.digraph import RngSpec
 from kout.errors import RejectionLimitError
 from kout.surjection import sample_surjection
@@ -42,8 +43,9 @@ def test_validates_inputs():
         sample_surjection(3, 1, RngSpec(1))
 
 
-def test_retry_cap():
+def test_retry_cap(monkeypatch):
+    monkeypatch.setattr(surjection, "RETRY_CAP", 1)
     with pytest.raises(RejectionLimitError):
         # cap of 1 trips quickly across seeds: P(hit on first try) is well below 1
         for i in range(200):
-            sample_surjection(2, 2, RngSpec(1, i), retry_cap=1)
+            sample_surjection(2, 2, RngSpec(1, i))
