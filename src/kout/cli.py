@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import digraph, errors, harness, oracle
-from .constants import derive_constants, solve_tau
+from .constants import derive_constants
 from .decompose import decompose
 from .distance import phase_sweep, typical_distance
 from .outside import outside_report
@@ -57,11 +57,7 @@ def _emit(payload: dict, as_json: bool, keys=None) -> None:
 
 
 def _cmd_constants(args) -> int:
-    d = derive_constants(args.k).as_dict()
-    if args.tol is not None:
-        # derive_constants always solves at 1e-12; report the requested-tol root too
-        d["tau_at_tol"] = solve_tau(args.k, args.tol)
-    _emit(d, args.json)
+    _emit(derive_constants(args.k).as_dict(), args.json)
     return 0
 
 
@@ -252,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="model constants for one k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
 

@@ -101,22 +101,20 @@ def _solve_eps(k: int) -> float:
     return math.exp(x)
 
 
-def solve_tau(k: int, tol: float = 1e-12) -> float:
+def solve_tau(k: int) -> float:
     """Root of ``1 - tau/k - exp(-tau)``, which lies in ``(k - 1/2, k)``.
 
     Solved by bisection (guaranteed bracket) plus a Newton polish, in terms of
-    the gap k - tau so the answer stays meaningful at large k.  The result
-    satisfies ``abs(1 - tau/k - exp(-tau)) < tol``; for k beyond ~37 the gap
+    the gap k - tau so the answer stays meaningful at large k.  The result is
+    checked to satisfy ``abs(1 - tau/k - exp(-tau)) < 1e-12`` and
+    ``ArithmeticError`` is raised if it does not; for k beyond ~37 the gap
     is smaller than the float spacing at k, so the returned double may round
     to exactly k while the gap itself remains available as ``k * mu`` of
     :func:`derive_constants`.
     """
     _validate_k(k)
-    if not math.isfinite(tol) or not (0.0 < tol <= 1e-6):
-        raise ValueError(f"tol must be a finite real in (0, 1e-6], got {tol!r}")
-    eps = _solve_eps(k)
-    x = k - eps
-    if not (k - 0.5 < x <= k) or abs(1.0 - x / k - math.exp(-x)) >= tol:
+    x = k - _solve_eps(k)
+    if not (k - 0.5 < x <= k) or abs(1.0 - x / k - math.exp(-x)) >= 1e-12:
         raise ArithmeticError(f"tau solver failed to converge for k={k}")
     return x
 

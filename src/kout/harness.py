@@ -51,7 +51,6 @@ __all__ = [
     "poisson_pmf_folded",
     "tv_to_poisson",
     "tv_joint_to_poisson",
-    "chi_square_statistic",
 ]
 
 COLLECT_GROUPS = frozenset({"core", "cycles", "spectra", "distances"})
@@ -96,6 +95,11 @@ class ExperimentConfig:
     validate: bool = False
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        RngSpec(self.seed)  # raises on a seed the replicates could not use
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         unknown = self.collect - COLLECT_GROUPS
@@ -289,14 +293,6 @@ def tv_joint_to_poisson(pairs, mean_a: float, mean_b: float) -> float:
     return float(0.5 * np.abs(emp - theo).sum())
 
 
-def chi_square_statistic(observed, expected) -> float:
-    obs = np.asarray(list(observed), dtype=float)
-    exp = np.asarray(list(expected), dtype=float)
-    if obs.shape != exp.shape or (exp <= 0).any():
-        raise ValueError("observed/expected must match and expected must be positive")
-    return float(((obs - exp) ** 2 / exp).sum())
-
-
 # ---------------------------------------------------------------------------
 # summary
 
@@ -450,19 +446,12 @@ def read_csv(path: str) -> list[ReplicateRecord]:
     return out
 
 
-def _record_dict(r: ReplicateRecord) -> dict:
-    d = asdict(r)
-    if d["cycle_hist"] is not None:
-        d["cycle_hist"] = {str(key): v for key, v in d["cycle_hist"].items()}
-    return d
-
-
 def write_json(payload, path: str) -> None:
     """Records list or a SummaryReport, as JSON."""
     if isinstance(payload, SummaryReport):
         doc = payload.as_dict()
     else:
-        doc = [_record_dict(r) for r in payload]
+        doc = [asdict(r) for r in payload]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -47,7 +47,6 @@ __all__ = [
     "enumerate_cycles",
     "spectra",
     "distance_to_giant",
-    "eccentricity_max",
     "longest_path",
     "max_full_spectrum",
     "outside_report",
@@ -271,11 +270,6 @@ def spectra(view: OutsideView) -> tuple[np.ndarray, int, int]:
     return r.sizes, int(r.sizes.max(initial=0)), int((r.excess >= 1).sum())
 
 
-def eccentricity_max(view: OutsideView) -> int:
-    """Largest finite BFS distance between two view vertices."""
-    return int(_scan(view).eccs.max(initial=0))
-
-
 # ---------------------------------------------------------------------------
 # distances to and from the giant
 
@@ -283,15 +277,12 @@ def eccentricity_max(view: OutsideView) -> int:
 class GiantDistances(NamedTuple):
     w: int  # max over reached outside vertices of the distance into the giant
     unreached: int  # outside vertices with no path to the giant (excluded from w)
-    dist: np.ndarray  # (n,) arc distance to the giant; -1 if unreachable
 
 
 def distance_to_giant(g: KOutDigraph, giant_set: np.ndarray) -> GiantDistances:
     """Multi-source BFS from the giant along reversed arcs, level-synchronous."""
     visited = np.zeros(g.n, dtype=bool)
     visited[giant_set] = True
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[giant_set] = 0
     rest = np.flatnonzero(~visited)
     level = 0
     while rest.size:
@@ -299,11 +290,9 @@ def distance_to_giant(g: KOutDigraph, giant_set: np.ndarray) -> GiantDistances:
         if not hits.any():
             break
         level += 1
-        reached = rest[hits]
-        dist[reached] = level
-        visited[reached] = True
+        visited[rest[hits]] = True
         rest = rest[~hits]
-    return GiantDistances(w=level, unreached=int(rest.size), dist=dist)
+    return GiantDistances(w=level, unreached=int(rest.size))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +453,5 @@ def outside_report(
         rep.m = longest_path(view)
 
     if "distances" in collect:
-        dist = distance_to_giant(g, dec.giant)
-        rep.w, rep.w_unreachable = dist.w, dist.unreached
+        rep.w, rep.w_unreachable = distance_to_giant(g, dec.giant)
     return rep

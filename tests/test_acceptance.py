@@ -132,7 +132,7 @@ def test_c01_constants_exactness():
                 hi = mid
         return 0.5 * (lo + hi)
 
-    tau = solve_tau(2, 1e-12)
+    tau = solve_tau(2)
     c.check("tau vs bisection", abs(tau - bisect_tau(2)) < 1e-10, f"tau={tau!r}")
 
     sigma_ok = True
@@ -422,7 +422,7 @@ def test_c10_surjection_sampler():
 
 def test_c11_stirling_asymptotics():
     c = Checks("11 stirling asymptotics")
-    tau = solve_tau(2, 1e-12)
+    tau = solve_tau(2)
     errs = {}
     for s in (20, 200):
         ratio = math.exp(good_log_stirling(s, 2, tau) - math.log(stirling2(2 * s, s)))

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,12 +25,6 @@ def test_constants_json(capsys):
     doc = json.loads(out)
     assert abs(doc["tau"] - 1.5936242600400399) < 1e-12
     assert "lambda" in doc and "sigma2" in doc
-
-
-def test_constants_with_tol(capsys):
-    out = run_cli(capsys, "constants", "--k", "3", "--tol", "1e-9", "--json")
-    doc = json.loads(out)
-    assert abs(doc["tau_at_tol"] - doc["tau"]) < 1e-9
 
 
 def test_generate_json_stdout(capsys):
@@ -121,6 +117,9 @@ def test_invalid_value_exit_code_other_subcommands(tmp_path, capsys):
         ["phase", "--n", "10", "--kmin", "3", "--kmax", "2", "--reps", "5", "--seed", "1"],
         ["montecarlo", "--n", "20", "--k", "2", "--reps", "0", "--seed", "1"],
         ["surjection", "--m", "5", "--k", "2", "--count", "0", "--seed", "1"],
+        ["montecarlo", "--n", "0", "--k", "2", "--reps", "3", "--seed", "1"],
+        ["montecarlo", "--n", "20", "--k", "0", "--reps", "3", "--seed", "1"],
+        ["montecarlo", "--n", "20", "--k", "2", "--reps", "3", "--seed", "-1"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -275,3 +274,15 @@ def test_entry_point_exit_code(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("i/o error: ")
+
+
+def test_public_names_resolve():
+    modules = [kout] + [
+        importlib.import_module(f"kout.{info.name}")
+        for info in pkgutil.iter_modules(kout.__path__)
+        if info.name != "__main__"
+    ]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"
+    assert {"outside", "harness", "constants"} <= {m.__name__.split(".")[-1] for m in modules}

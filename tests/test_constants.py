@@ -30,19 +30,19 @@ PATH_COEFF_2 = 1.1105224361483654
 
 
 def test_solve_tau_matches_bisection_oracle():
-    assert abs(solve_tau(2, 1e-12) - bisect_tau(2)) < 1e-12
-    assert abs(solve_tau(2, 1e-12) - TAU_2) < 1e-12
+    assert abs(solve_tau(2) - bisect_tau(2)) < 1e-12
+    assert abs(solve_tau(2) - TAU_2) < 1e-12
 
 
 def test_solve_tau_k10_in_band():
-    t = solve_tau(10, 1e-12)
+    t = solve_tau(10)
     assert 9.5 < t < 10
     assert abs(t - bisect_tau(10)) < 1e-10
 
 
 def test_solve_tau_residual():
     for k in (2, 3, 7, 50):
-        t = solve_tau(k, 1e-12)
+        t = solve_tau(k)
         assert abs(1 - t / k - math.exp(-t)) < 1e-12
 
 
@@ -51,12 +51,6 @@ def test_solve_tau_rejects_bad_inputs():
         solve_tau(1)
     with pytest.raises(TypeError):
         solve_tau(2.0)  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
-        solve_tau(2, tol=float("nan"))
-    with pytest.raises(ValueError):
-        solve_tau(2, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_tau(2, tol=1e-3)  # above the allowed tolerance range
 
 
 def test_derived_constants_k2_frozen_values():

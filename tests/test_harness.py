@@ -12,7 +12,6 @@ from kout.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ReplicateRecord,
-    chi_square_statistic,
     ks_statistic_normal,
     normal_cdf,
     poisson_pmf_folded,
@@ -197,13 +196,6 @@ def test_tv_joint():
     pairs = np.column_stack([rng.poisson(2.0, 4000), rng.poisson(1.0, 4000)])
     assert tv_joint_to_poisson(pairs, 2.0, 1.0) < 0.05
     assert tv_joint_to_poisson(pairs, 1.0, 2.0) > 0.2
-
-
-def test_chi_square_statistic():
-    assert chi_square_statistic([5, 5], [5, 5]) == 0.0
-    assert abs(chi_square_statistic([6, 4], [5, 5]) - 0.4) < 1e-12
-    with pytest.raises(ValueError):
-        chi_square_statistic([1, 2], [1])
 
 
 def test_config_validation():

@@ -19,7 +19,6 @@ from kout.oracle import (
 from kout.outside import (
     _scan,
     distance_to_giant,
-    eccentricity_max,
     enumerate_cycles,
     longest_path,
     max_full_spectrum,
@@ -98,6 +97,22 @@ def test_cycle_cap_error_names_the_cap_after_self_loops(monkeypatch):
     with pytest.raises(CycleCapError) as info:
         enumerate_cycles(view)
     assert info.value.cap == 2
+
+
+def test_long_cycle_searched_once():
+    # k = 1: a 4000-cycle (the giant) and a 2000-cycle outside it.  After the
+    # search from the root, the rest of the 2000-cycle is re-split into SCCs,
+    # which are all trivial, so Johnson's search runs once, not once per vertex.
+    rows = [((v + 1) % 4000,) for v in range(4000)]
+    rows += [(4000 + (v + 1) % 2000,) for v in range(2000)]
+    g, d, view = make_view(rows)
+    assert d.giant.tolist() == list(range(4000))
+    with mock.patch.object(
+        outside, "_johnson_cycles_from", wraps=outside._johnson_cycles_from
+    ) as search:
+        cycles, disjoint = enumerate_cycles(view)
+    assert search.call_count == 1
+    assert cycles == [list(range(4000, 6000))] and disjoint is True
 
 
 @settings(max_examples=60)
@@ -216,10 +231,10 @@ def test_distance_to_giant_unreachable_flagged():
 def test_eccentricity_hand_cases():
     # all spectra singletons
     g, d, view = make_view([(0, 0), (0, 0), (0, 0)])
-    assert eccentricity_max(view) == 0
+    assert int(_scan(view).eccs.max(initial=0)) == 0
     # directed path of length 3 outside: 1 -> 2 -> 3 -> 4
     g2, d2, view2 = make_view([(0, 0), (2, 0), (3, 0), (4, 0), (0, 0)])
-    assert eccentricity_max(view2) >= 3
+    assert int(_scan(view2).eccs.max(initial=0)) >= 3
 
 
 def test_longest_path_pure_path():
@@ -256,7 +271,7 @@ def test_longest_path_matches_brute(rows):
 @given(endpoint_tables(max_n=11, max_k=3))
 def test_eccentricity_matches_brute(rows):
     g, d, view = make_view(rows)
-    assert eccentricity_max(view) == brute_max_eccentricity(
+    assert int(_scan(view).eccs.max(initial=0)) == brute_max_eccentricity(
         rows, within=outside_set(g, d)
     )
 
