@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import DigraphFormatError, RejectionLimitError
 
@@ -89,16 +88,8 @@ class KOutDigraph:
         """CSR of the reversed digraph: row v lists the tails of v's in-arcs.
 
         Built on first use and kept, since the digraph does not change.
-        scipy's CSR -> CSC conversion is a counting sort, an order of
-        magnitude faster than a stable argsort of the heads.  The ids go in
-        as int32, the dtype scipy would otherwise downcast them to by a copy.
         """
-        indices = self.endpoints.astype(np.int32).ravel()
-        indptr = np.arange(0, indices.size + 1, self.k, dtype=np.int32)
-        ones = np.ones(indices.size, dtype=np.int8)
-        shape = (self.n, self.n)
-        rev = csr_matrix((ones, indices, indptr), shape=shape).tocsc()
-        return rev.indptr, rev.indices
+        return _reverse_csr(self.endpoints)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KOutDigraph):
@@ -108,6 +99,21 @@ class KOutDigraph:
             and self.k == other.k
             and np.array_equal(self.endpoints, other.endpoints)
         )
+
+
+def _reverse_csr(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row pointers, tails) of the reversed out-table, tails ascending in
+    each row.  Sorting the keys ``head * n + tail`` with numpy's vectorized
+    sort beats scipy's CSR -> CSC counting sort at n = 10^6 (whose scattered
+    writes miss the cache) and costs far less per call at small n."""
+    n = endpoints.shape[0]
+    keys = endpoints * n
+    keys += np.arange(n)[:, None]
+    keys = keys.ravel()
+    keys.sort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(endpoints.ravel(), minlength=n), out=indptr[1:])
+    return indptr, np.remainder(keys, n, out=keys)
 
 
 def _random_endpoints(n: int, k: int, gen: np.random.Generator) -> np.ndarray:

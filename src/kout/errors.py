@@ -11,7 +11,11 @@ class DigraphFormatError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
+
+    def __reduce__(self):  # rebuild from the arguments, not the formatted text
+        return type(self), (self.message, self.offset)
 
 
 class RejectionLimitError(RuntimeError):
@@ -23,7 +27,11 @@ class RejectionLimitError(RuntimeError):
 
     def __init__(self, message: str, attempts: int):
         super().__init__(f"{message} after {attempts} attempts")
+        self.message = message
         self.attempts = attempts
+
+    def __reduce__(self):
+        return type(self), (self.message, self.attempts)
 
 
 def _replicate_prefix(replicate: int | None) -> str:
@@ -73,6 +81,10 @@ class SettingError(ValueError):
         super().__init__(f"{name}={value!r} is invalid: expected {expected}")
         self.name = name
         self.value = value
+        self.expected = expected
+
+    def __reduce__(self):
+        return type(self), (self.name, self.value, self.expected)
 
 
 class InvariantViolationError(AssertionError):

@@ -11,9 +11,12 @@ subgraph on the complement of the giant, with vertices relabeled to a compact
 local range, held as CSR arrays together with its SCC labels.  The giant is
 closed, so no path between two outside vertices passes through it: the view's
 SCCs are exactly the host's SCCs other than the giant, and nothing outside
-the giant is reachable from it.  The view numbers its components by the same
-(height, smallest label) rule as :mod:`kout.decompose`, so cycle enumeration
-and the longest-path DP read the labels instead of recomputing them.
+the giant is reachable from it.  The view's component ids and heights are
+the host's with the giant's removed (heights count arcs into the giant, a
+sink of height 0): ``outside_report`` reads them off the decomposition, and
+``outside_view(g, giant)`` gets them from the helper that :mod:`kout.decompose`
+uses, with the giant as its sink.  Cycle enumeration and the longest-path DP
+read the labels instead of recomputing them.
 
 Spectrum sizes, eccentricities and arc excess come from one scan that runs a
 level-synchronous numpy BFS from every view vertex at once, over (source,
@@ -36,7 +39,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decompose import Decomposition, _components, _distinct, _rows, _scc_labels
+from .decompose import (
+    Decomposition,
+    _core_mask,
+    _distinct,
+    _induced,
+    _rest,
+    _rows,
+    _scc_labels,
+)
 from .digraph import KOutDigraph
 from .errors import ComponentCapError, CycleCapError
 
@@ -64,7 +75,7 @@ class OutsideView:
     indptr: np.ndarray  # (size + 1,) CSR row pointers over local ids
     indices: np.ndarray  # local endpoints of arcs staying outside (with multiplicity)
     comp: np.ndarray  # (size,) canonical SCC id per local vertex
-    height: np.ndarray  # per SCC id, its height in the view's condensation
+    height: np.ndarray  # per SCC id, its height in the host, the giant a sink
 
     @property
     def size(self) -> int:
@@ -80,18 +91,22 @@ class OutsideView:
 
 
 def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
-    mask = np.ones(g.n, dtype=bool)
-    mask[giant_set] = False
-    verts = np.flatnonzero(mask)
-    local_of = np.full(g.n, -1, dtype=np.int64)
-    local_of[verts] = np.arange(verts.size)
-    local = local_of[g.endpoints[verts]]
-    stays = local >= 0
-    indptr = np.zeros(verts.size + 1, dtype=np.int64)
-    np.cumsum(stays.sum(axis=1), out=indptr[1:])
-    indices = local[stays]
-    cs = _components(indptr, indices)
-    return OutsideView(verts, indptr, indices, cs.comp, cs.height)
+    """The view outside ``giant_set``, a closed SCC of g (the giant)."""
+    sink = np.zeros(g.n, dtype=bool)
+    sink[giant_set] = True
+    return OutsideView(*_rest(g.endpoints, _core_mask(g.endpoints), sink))
+
+
+def _view(g: KOutDigraph, dec: Decomposition) -> OutsideView:
+    """The view outside the giant, read off the decomposition: its component
+    ids and heights are the host's with the giant's removed, so it equals
+    ``outside_view(g, dec.giant)`` without labelling anything again."""
+    gid = int(dec.scc_id[dec.giant[0]])
+    verts = np.flatnonzero(dec.scc_id != gid)
+    comp = dec.scc_id[verts]
+    comp -= comp > gid
+    indptr, indices = _induced(g.endpoints, verts)
+    return OutsideView(verts, indptr, indices, comp, np.delete(dec.height, gid))
 
 
 def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
@@ -387,7 +402,7 @@ def _full_spectra(
 def max_full_spectrum(g: KOutDigraph, dec: Decomposition) -> tuple[int, int]:
     """(max over all vertices of |Spec(v)|, |Spec(vertex 0)|), exact at every
     n, whether or not every vertex reaches the giant."""
-    view = outside_view(g, dec.giant)
+    view = _view(g, dec)
     return _full_spectra(g, dec, view, _scan(view))
 
 
@@ -434,7 +449,7 @@ def outside_report(
     unknown = collect - FULL_COLLECT
     if unknown:
         raise ValueError(f"unknown collect groups: {sorted(unknown)}")
-    view = outside_view(g, dec.giant)
+    view = _view(g, dec)
     rep = OutsideReport()
 
     if "cycles" in collect:

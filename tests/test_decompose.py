@@ -1,10 +1,16 @@
+import importlib
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from conftest import digraph_from_rows, endpoint_tables
 from kout.decompose import condense, decompose, giant, layers, one_in_core, scc
 from kout.digraph import RngSpec, generate
 from kout.oracle import brute_cycles, brute_giant, brute_one_in_core, brute_scc_sets
+
+decompose_module = importlib.import_module("kout.decompose")
 
 
 def test_scc_single_vertex():
@@ -172,3 +178,31 @@ def test_monte_carlo_giant_density():
         g = generate(20_000, 2, RngSpec(99, i))
         sizes.append(giant(g).size)
     assert abs(np.mean(sizes) / 20_000 - 0.7968121300200199) < 0.01
+
+
+# The three paths of decompose: F (the forward closure of the smallest core
+# vertex) is not one SCC, so no sink is used; F is one SCC but a larger closed
+# SCC lies elsewhere; F is one SCC and is the giant.
+@pytest.mark.parametrize(
+    "rows, sink, giant_set",
+    [
+        ([(1, 1), (2, 2), (0, 3), (3, 3)], [], [3]),
+        ([(0, 0), (2, 2), (3, 3), (1, 1)], [0], [1, 2, 3]),
+        ([(1, 1), (2, 2), (0, 0), (0, 1)], [0, 1, 2], [0, 1, 2]),
+    ],
+    ids=["closure-not-strong", "absorbing-closure-not-giant", "closure-is-giant"],
+)
+def test_decompose_paths_match_brute(rows, sink, giant_set):
+    g = digraph_from_rows(rows)
+    with mock.patch.object(
+        decompose_module, "_rest", wraps=decompose_module._rest
+    ) as spy:
+        d = decompose(g)
+    assert [np.flatnonzero(c.args[2]).tolist() for c in spy.call_args_list] == [sink]
+    assert frozenset(d.giant.tolist()) == brute_giant(rows) == frozenset(giant_set)
+    bounds = d.member_indptr.tolist()
+    got = sorted(tuple(d.members[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
+    assert got == sorted(tuple(sorted(c)) for c in brute_scc_sets(rows))
+    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        assert (d.scc_id[d.members[a:b]] == c).all()
+    assert frozenset(d.one_in_core.tolist()) == brute_one_in_core(rows)

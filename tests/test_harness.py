@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from kout import outside
+from kout import errors, outside
 from kout.constants import derive_constants
 from kout.errors import ComponentCapError, CycleCapError, SettingError
 from kout.harness import (
@@ -245,6 +245,37 @@ def test_cap_errors_pickle_with_their_fields(exc):
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc) and str(back) == str(exc)
     assert back.replicate == 3 and back.cap == exc.cap
+
+
+# constructor arguments of one instance of every exception class in kout.errors
+ERROR_ARGS = {
+    errors.DigraphFormatError: ("truncated header", 21),
+    errors.RejectionLimitError: ("no simple digraph with n=3, k=2", 1000),
+    errors.CycleCapError: (7, 3),
+    errors.ComponentCapError: (70, 64, 3),
+    errors.SettingError: ("KOUT_THREADS", "x", "a positive integer"),
+    errors.InvariantViolationError: ("giant not closed",),
+}
+
+
+def test_error_args_cover_every_error_class():
+    defined = {
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == errors.__name__
+    }
+    assert defined == set(ERROR_ARGS)
+
+
+@pytest.mark.parametrize("cls", list(ERROR_ARGS), ids=lambda cls: cls.__name__)
+def test_every_error_pickles_with_its_message_and_fields(cls):
+    exc = cls(*ERROR_ARGS[cls])
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc) and back.args == exc.args
+    assert vars(back) == vars(exc)
 
 
 @pytest.mark.parametrize("value", ["x", "0", "-3", "2.5"])

@@ -1,3 +1,4 @@
+import importlib
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from kout.oracle import (
 )
 from kout.outside import (
     _scan,
+    _view,
     distance_to_giant,
     enumerate_cycles,
     longest_path,
@@ -26,6 +28,8 @@ from kout.outside import (
     outside_view,
     spectra,
 )
+
+decompose_module = importlib.import_module("kout.decompose")
 
 
 def make_view(rows):
@@ -352,3 +356,61 @@ def test_report_includes_w_flag():
     rep = outside_report(g, d)
     assert rep.w_unreachable == 1
     assert rep.max_full_spectrum == 1  # both spectra are singletons
+
+
+def test_one_scc_pass_per_replicate_on_the_core_outside_the_giant():
+    # scipy's SCC pass runs at most once per replicate (decompose, then
+    # outside_report), on the core vertices outside the giant only, and not
+    # at all when fewer than two of them are left.  Johnson's re-split inside
+    # enumerate_cycles is not such a pass: it labels one component at a time,
+    # through its own import, which this spy does not count.
+    rest_sizes = []
+    for i in range(6):
+        g = generate(20_000, 2, RngSpec(5, i))
+        with mock.patch.object(
+            decompose_module, "_scc_labels", wraps=decompose_module._scc_labels
+        ) as spy:
+            d = decompose(g)
+            outside_report(g, d)
+        rest = np.setdiff1d(d.one_in_core, d.giant)
+        rest_sizes.append(rest.size)
+        assert spy.call_count == int(rest.size >= 2)
+        if spy.call_count:
+            want = decompose_module._induced(g.endpoints, rest)
+            assert all(np.array_equal(a, b) for a, b in zip(spy.call_args.args, want))
+    assert max(rest_sizes) >= 2 and min(rest_sizes) < 2  # both cases were seen
+
+
+def report_view(g, d):
+    """The view that outside_report builds for (g, d)."""
+    views = []
+
+    def keep(*args):
+        views.append(_view(*args))
+        return views[-1]
+
+    with mock.patch.object(outside, "_view", side_effect=keep):
+        outside_report(g, d)
+    (view,) = views
+    return view
+
+
+def assert_same_view(a, b):
+    for field in ("vertices", "indptr", "indices", "comp", "height"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@settings(max_examples=80)
+@given(endpoint_tables(max_n=10, max_k=3))
+def test_report_view_equals_outside_view(rows):
+    g = digraph_from_rows(rows)
+    d = decompose(g)
+    assert_same_view(report_view(g, d), outside_view(g, d.giant))
+
+
+def test_report_view_equals_outside_view_at_1e5():
+    g = generate(100_000, 2, RngSpec(13, 0))
+    d = decompose(g)
+    view = report_view(g, d)
+    assert view.size == g.n - d.giant.size
+    assert_same_view(view, outside_view(g, d.giant))
