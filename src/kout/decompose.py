@@ -11,7 +11,10 @@ to a sink.  Every condensation arc lowers the height, so it goes from a
 higher id to a lower one: the numbering is reverse topological and a pure
 function of the digraph.  The closed components are exactly those of height
 0, so they hold ids 0 .. (#closed - 1) in order of their smallest label.
-Members and the condensation are stored flat, as CSR arrays.
+The decomposition keeps only the per-vertex ids and the per-component
+heights; ``scc`` groups the members and ``condense`` builds the condensation
+from the ids when asked.  It also keeps the view outside the giant (an
+:class:`OutsideView`), which the statistics of :mod:`kout.outside` run on.
 
 SCCs are found around the giant instead of by one pass over all vertices.
 Let v be the smallest vertex of the one-in-core and F its forward closure,
@@ -30,12 +33,17 @@ well.  Each peel is level-synchronous, one numpy pass per level, and a random
 k-out digraph has O(log n) levels whp.  Every vertex reaches some closed
 component, so every vertex reaches the giant iff the giant is the only closed
 component.
+
+The vertices outside F, with their CSR, ids and heights, are the view outside
+the giant whenever F is the giant.  Otherwise (F is not one SCC, or a larger
+closed SCC lies elsewhere) the same steps run once more with the giant as the
+sink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -45,6 +53,7 @@ from .digraph import KOutDigraph, _reverse_csr
 
 __all__ = [
     "Decomposition",
+    "OutsideView",
     "scc",
     "condense",
     "giant",
@@ -55,23 +64,50 @@ __all__ = [
 
 
 @dataclass
+class OutsideView:
+    """Induced subgraph on the vertices outside a closed SCC (the giant),
+    relabelled to local ids 0 .. size - 1.  Its component ids and heights
+    are the host's with the giant's removed: ids by (height, smallest label),
+    heights counting arcs into the giant, a sink of height 0."""
+
+    vertices: np.ndarray  # sorted original ids
+    indptr: np.ndarray  # (size + 1,) CSR row pointers over local ids
+    indices: np.ndarray  # local endpoints of arcs staying outside (with multiplicity)
+    comp: np.ndarray  # (size,) canonical SCC id per local vertex
+    height: np.ndarray  # per SCC id, its height in the host, nondecreasing
+
+    @property
+    def size(self) -> int:
+        return self.vertices.size
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) local ids of every arc, in CSR order."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices
+
+    def row(self, v: int) -> list[int]:
+        """Local endpoints of the arcs from local vertex v (with multiplicity)."""
+        return self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
+
+
+@dataclass
 class Decomposition:
     """The full structural decomposition of one digraph."""
 
     scc_id: np.ndarray  # (n,) component id per vertex, reverse-topo numbering
-    member_indptr: np.ndarray  # (n_scc + 1,) CSR row pointers into members
-    members: np.ndarray  # (n,) vertex ids grouped by component id, ascending within each
-    cond_indptr: np.ndarray  # (n_scc + 1,) CSR row pointers of the condensation
-    cond_indices: np.ndarray  # per-component sorted successor ids, deduplicated
-    closed: np.ndarray  # (n_scc,) True iff the component has no outgoing arc
     height: np.ndarray  # (n_scc,) longest condensation path to a sink, nondecreasing
     giant: np.ndarray  # sorted vertex ids of the largest closed SCC
     one_in_core: np.ndarray  # sorted vertex ids surviving in-degree-0 peeling
     all_reach_giant: bool
+    view: OutsideView  # the induced subgraph outside the giant
+
+    @property
+    def closed(self) -> np.ndarray:
+        """(n_scc,) True iff the component has no outgoing arc."""
+        return self.height == 0
 
     @property
     def n_components(self) -> int:
-        return self.closed.size
+        return self.height.size
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +217,10 @@ def _induced(endpoints: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, local[stays]
 
 
-class _Rest(NamedTuple):
-    """The components outside a closed SCC (the sink), numbered on their own
-    by (height, smallest label); the heights are those in the whole digraph."""
-
-    vertices: np.ndarray  # sorted ids outside the sink
-    indptr: np.ndarray  # CSR over local ids of the arcs that stay outside
-    indices: np.ndarray
-    comp: np.ndarray  # (size,) component id per local vertex
-    height: np.ndarray  # per component id, nondecreasing in the id
-
-
-def _rest(endpoints: np.ndarray, core: np.ndarray, sink: np.ndarray) -> _Rest:
-    """Components and heights of the vertices outside ``sink``, a closed SCC
-    (or no vertex at all), given the one-in-core mask ``core``.
+def _rest(endpoints: np.ndarray, core: np.ndarray, sink: np.ndarray) -> OutsideView:
+    """The view outside ``sink``, a closed SCC (or no vertex at all), given
+    the one-in-core mask ``core``: components numbered on their own by
+    (height, smallest label), with their heights in the whole digraph.
 
     Every cycle lies in the one-in-core, so only its vertices outside the sink
     can share a component, and scipy labels just those (whp a few, once the
@@ -236,7 +262,7 @@ def _rest(endpoints: np.ndarray, core: np.ndarray, sink: np.ndarray) -> _Rest:
     canon[order] = np.arange(reps.size)
     index_of = np.zeros(m, dtype=np.int64)
     index_of[reps] = np.arange(reps.size)
-    return _Rest(verts, indptr, indices, canon[index_of[rep]], height[order])
+    return OutsideView(verts, indptr, indices, canon[index_of[rep]], height[order])
 
 
 def _core_mask(endpoints: np.ndarray) -> np.ndarray:
@@ -251,7 +277,8 @@ def _core_mask(endpoints: np.ndarray) -> np.ndarray:
 def scc(g: KOutDigraph) -> tuple[np.ndarray, list[np.ndarray]]:
     """Exact SCCs; ids in reverse topological order of the condensation."""
     d = decompose(g)
-    return d.scc_id, _split(d.members, d.member_indptr)
+    members = np.argsort(d.scc_id, kind="stable")
+    return d.scc_id, _split(members, _indptr(d.scc_id, d.n_components))
 
 
 def condense(
@@ -299,32 +326,18 @@ def decompose(g: KOutDigraph) -> Decomposition:
     # the sink, if any, is component 0: its height is 0, and every other
     # closed component lies in the one-in-core, above its smallest vertex v
     s = int(strong)
-    nsink = int(sink.sum())
-    ncomp = rest.height.size + s
     scc_id = np.zeros(g.n, dtype=np.int64)
     scc_id[rest.vertices] = rest.comp + s
-    member_indptr = _indptr(scc_id, ncomp)
-    members = np.empty(g.n, dtype=np.int64)
-    members[:nsink] = np.flatnonzero(sink)
-    members[nsink:] = rest.vertices[np.argsort(rest.comp, kind="stable")]
-    # the arcs between distinct components all start outside the sink
-    src = np.repeat(scc_id[rest.vertices], g.k)
-    dst = scc_id[endpoints[rest.vertices]].ravel()
-    cross = src != dst
-    keys = _distinct(src[cross] * ncomp + dst[cross])
     height = np.concatenate([np.zeros(s, dtype=np.int64), rest.height])
-    closed = height == 0
-    n_closed = int(closed.sum())
-    gid = int(np.argmax(np.diff(member_indptr[: n_closed + 1])))
+    n_closed = int((height == 0).sum())
+    gid = int(np.argmax(np.bincount(scc_id, minlength=n_closed)[:n_closed]))
+    giant = scc_id == gid
+    # whp the sink is the giant and rest is already the view outside it
     return Decomposition(
         scc_id=scc_id,
-        member_indptr=member_indptr,
-        members=members,
-        cond_indptr=_indptr(keys // ncomp, ncomp),
-        cond_indices=keys % ncomp,
-        closed=closed,
         height=height,
-        giant=members[member_indptr[gid] : member_indptr[gid + 1]],
+        giant=np.flatnonzero(giant),
         one_in_core=np.flatnonzero(core),
         all_reach_giant=n_closed == 1,
+        view=rest if strong and gid == 0 else _rest(endpoints, core, giant),
     )

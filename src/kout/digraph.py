@@ -41,6 +41,11 @@ MAGIC = b"KOUT1"
 SIMPLE_ATTEMPT_CAP = 1_000_000
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Seed plus stream index; the replicate index goes in ``stream``."""
@@ -71,6 +76,8 @@ class KOutDigraph:
     endpoints: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (_is_integer(self.n) and _is_integer(self.k)):
+            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
         ep = np.asarray(self.endpoints)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .constants import ModelConstants
 from .decompose import decompose
-from .digraph import RngSpec, count_multi_pairs, count_self_loops, generate
+from .digraph import RngSpec, _is_integer, count_multi_pairs, count_self_loops, generate
 from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
 from .outside import outside_report
 
@@ -95,6 +95,8 @@ class ExperimentConfig:
     validate: bool = False
 
     def __post_init__(self) -> None:
+        if not (_is_integer(self.n) and _is_integer(self.k)):
+            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k < 1:

@@ -6,17 +6,18 @@ parallel arcs do not multiply a cycle, and a self-loop is a cycle of length 1.
 Arc counts (for the tree-plus-one-arc excess check) do include parallel arcs,
 because they count arcs of the induced sub-digraph.
 
-The heavy per-vertex work runs on an :class:`OutsideView`: the induced
-subgraph on the complement of the giant, with vertices relabeled to a compact
-local range, held as CSR arrays together with its SCC labels.  The giant is
-closed, so no path between two outside vertices passes through it: the view's
-SCCs are exactly the host's SCCs other than the giant, and nothing outside
-the giant is reachable from it.  The view's component ids and heights are
-the host's with the giant's removed (heights count arcs into the giant, a
-sink of height 0): ``outside_report`` reads them off the decomposition, and
-``outside_view(g, giant)`` gets them from the helper that :mod:`kout.decompose`
-uses, with the giant as its sink.  Cycle enumeration and the longest-path DP
-read the labels instead of recomputing them.
+The heavy per-vertex work runs on an :class:`OutsideView` (defined in
+:mod:`kout.decompose`): the induced subgraph on the complement of the giant,
+with vertices relabeled to a compact local range, held as CSR arrays together
+with its SCC labels.  The giant is closed, so no path between two outside
+vertices passes through it: the view's SCCs are exactly the host's SCCs other
+than the giant, and nothing outside the giant is reachable from it.  The
+view's component ids and heights are the host's with the giant's removed
+(heights count arcs into the giant, a sink of height 0).  ``decompose``
+builds the view once and keeps it as ``Decomposition.view``, which
+``outside_report`` and ``max_full_spectrum`` read; ``outside_view(g, giant)``
+builds the same view with the same helper.  Cycle enumeration and the
+longest-path DP read the labels instead of recomputing them.
 
 Spectrum sizes, eccentricities and arc excess come from one scan that runs a
 level-synchronous numpy BFS from every view vertex at once, over (source,
@@ -41,9 +42,9 @@ import numpy as np
 
 from .decompose import (
     Decomposition,
+    OutsideView,
     _core_mask,
     _distinct,
-    _induced,
     _rest,
     _rows,
     _scc_labels,
@@ -67,46 +68,11 @@ CYCLE_CAP = 10_000
 SCC_SIZE_CAP = 64
 
 
-@dataclass
-class OutsideView:
-    """Induced subgraph on the vertices outside the giant."""
-
-    vertices: np.ndarray  # sorted original ids
-    indptr: np.ndarray  # (size + 1,) CSR row pointers over local ids
-    indices: np.ndarray  # local endpoints of arcs staying outside (with multiplicity)
-    comp: np.ndarray  # (size,) canonical SCC id per local vertex
-    height: np.ndarray  # per SCC id, its height in the host, the giant a sink
-
-    @property
-    def size(self) -> int:
-        return self.vertices.size
-
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(source, target) local ids of every arc, in CSR order."""
-        return np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices
-
-    def row(self, v: int) -> list[int]:
-        """Local endpoints of the arcs from local vertex v (with multiplicity)."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
-
-
 def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
     """The view outside ``giant_set``, a closed SCC of g (the giant)."""
     sink = np.zeros(g.n, dtype=bool)
     sink[giant_set] = True
-    return OutsideView(*_rest(g.endpoints, _core_mask(g.endpoints), sink))
-
-
-def _view(g: KOutDigraph, dec: Decomposition) -> OutsideView:
-    """The view outside the giant, read off the decomposition: its component
-    ids and heights are the host's with the giant's removed, so it equals
-    ``outside_view(g, dec.giant)`` without labelling anything again."""
-    gid = int(dec.scc_id[dec.giant[0]])
-    verts = np.flatnonzero(dec.scc_id != gid)
-    comp = dec.scc_id[verts]
-    comp -= comp > gid
-    indptr, indices = _induced(g.endpoints, verts)
-    return OutsideView(verts, indptr, indices, comp, np.delete(dec.height, gid))
+    return _rest(g.endpoints, _core_mask(g.endpoints), sink)
 
 
 def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
@@ -382,7 +348,7 @@ def longest_path(view: OutsideView) -> int:
 
 
 def _full_spectra(
-    g: KOutDigraph, dec: Decomposition, view: OutsideView, scan: _ScanResult
+    g: KOutDigraph, dec: Decomposition, scan: _ScanResult
 ) -> tuple[int, int]:
     """(max over all vertices of |Spec(v)|, |Spec(vertex 0)|) from the scan.
 
@@ -392,7 +358,7 @@ def _full_spectra(
     counts fewer than k arcs per member, and then |Spec(v)| is its closure
     plus the giant.
     """
-    giant = dec.giant.size
+    giant, view = dec.giant.size, dec.view
     reach = scan.excess + scan.sizes < g.k * scan.sizes
     full = scan.sizes + giant * reach
     spec0 = int(full[0]) if view.size and view.vertices[0] == 0 else giant
@@ -402,8 +368,7 @@ def _full_spectra(
 def max_full_spectrum(g: KOutDigraph, dec: Decomposition) -> tuple[int, int]:
     """(max over all vertices of |Spec(v)|, |Spec(vertex 0)|), exact at every
     n, whether or not every vertex reaches the giant."""
-    view = _view(g, dec)
-    return _full_spectra(g, dec, view, _scan(view))
+    return _full_spectra(g, dec, _scan(dec.view))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +414,7 @@ def outside_report(
     unknown = collect - FULL_COLLECT
     if unknown:
         raise ValueError(f"unknown collect groups: {sorted(unknown)}")
-    view = _view(g, dec)
+    view = dec.view
     rep = OutsideReport()
 
     if "cycles" in collect:
@@ -464,7 +429,7 @@ def outside_report(
         rep.max_spectrum = int(scan.sizes.max(initial=0))
         rep.arc_excess_violations = int((scan.excess >= 1).sum())
         rep.d = int(scan.eccs.max(initial=0))
-        rep.max_full_spectrum, rep.spectrum_of_zero = _full_spectra(g, dec, view, scan)
+        rep.max_full_spectrum, rep.spectrum_of_zero = _full_spectra(g, dec, scan)
         rep.m = longest_path(view)
 
     if "distances" in collect:

@@ -182,27 +182,31 @@ def test_monte_carlo_giant_density():
 
 # The three paths of decompose: F (the forward closure of the smallest core
 # vertex) is not one SCC, so no sink is used; F is one SCC but a larger closed
-# SCC lies elsewhere; F is one SCC and is the giant.
+# SCC lies elsewhere; F is one SCC and is the giant.  On the first two paths F
+# is not the giant, so after the call that labels the components, the view
+# outside the giant is built once more, with the giant as its sink.
 @pytest.mark.parametrize(
-    "rows, sink, giant_set",
+    "rows, sinks, giant_set",
     [
-        ([(1, 1), (2, 2), (0, 3), (3, 3)], [], [3]),
-        ([(0, 0), (2, 2), (3, 3), (1, 1)], [0], [1, 2, 3]),
-        ([(1, 1), (2, 2), (0, 0), (0, 1)], [0, 1, 2], [0, 1, 2]),
+        ([(1, 1), (2, 2), (0, 3), (3, 3)], [[], [3]], [3]),
+        ([(0, 0), (2, 2), (3, 3), (1, 1)], [[0], [1, 2, 3]], [1, 2, 3]),
+        ([(1, 1), (2, 2), (0, 0), (0, 1)], [[0, 1, 2]], [0, 1, 2]),
     ],
     ids=["closure-not-strong", "absorbing-closure-not-giant", "closure-is-giant"],
 )
-def test_decompose_paths_match_brute(rows, sink, giant_set):
+def test_decompose_paths_match_brute(rows, sinks, giant_set):
     g = digraph_from_rows(rows)
     with mock.patch.object(
         decompose_module, "_rest", wraps=decompose_module._rest
     ) as spy:
         d = decompose(g)
-    assert [np.flatnonzero(c.args[2]).tolist() for c in spy.call_args_list] == [sink]
+    assert [np.flatnonzero(c.args[2]).tolist() for c in spy.call_args_list] == sinks
     assert frozenset(d.giant.tolist()) == brute_giant(rows) == frozenset(giant_set)
-    bounds = d.member_indptr.tolist()
-    got = sorted(tuple(d.members[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
+    ids, members = scc(g)
+    assert np.array_equal(ids, d.scc_id)
+    got = sorted(tuple(m.tolist()) for m in members)
     assert got == sorted(tuple(sorted(c)) for c in brute_scc_sets(rows))
-    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        assert (d.scc_id[d.members[a:b]] == c).all()
+    for c, m in enumerate(members):
+        assert (d.scc_id[m] == c).all()
     assert frozenset(d.one_in_core.tolist()) == brute_one_in_core(rows)
+    assert np.array_equal(d.view.vertices, np.setdiff1d(np.arange(g.n), d.giant))

@@ -59,6 +59,14 @@ def test_endpoint_validation():
         KOutDigraph(2, 2, np.array([[0, 1]]))
 
 
+@pytest.mark.parametrize("n, k", [(3.0, 1), (True, 1), (3, 1.0), (3, np.bool_(True))])
+def test_sizes_must_be_integers(n, k):
+    with pytest.raises(ValueError, match="n and k must be integers"):
+        KOutDigraph(n, k, np.zeros((3, 1), dtype=np.int64))
+    # numpy integer scalars are integers
+    assert KOutDigraph(np.int64(3), np.int32(1), np.zeros((3, 1), dtype=np.int64)).n == 3
+
+
 @pytest.mark.parametrize(
     "endpoints",
     [np.array([[1.7], [0.2]]), np.array([[True], [False]]), np.array([[1], [None]])],

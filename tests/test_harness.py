@@ -205,6 +205,13 @@ def test_config_validation():
         ExperimentConfig(n=10, k=2, reps=1, seed=1, collect=frozenset({"bogus"}))
 
 
+@pytest.mark.parametrize("n, k", [(3.0, 2), (True, 2), (3, 2.0), (3, False)])
+def test_config_sizes_must_be_integers(n, k):
+    with pytest.raises(ValueError, match="n and k must be integers"):
+        ExperimentConfig(n=n, k=k, reps=1, seed=1)
+    assert ExperimentConfig(n=np.int64(3), k=np.int64(2), reps=1, seed=1).n == 3
+
+
 def test_validate_mode_passes_on_healthy_runs():
     cfg = ExperimentConfig(n=150, k=2, reps=4, seed=13, validate=True)
     records = run_experiment(cfg, workers=1)

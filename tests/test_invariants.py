@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kout import outside
-from kout.decompose import decompose
+from kout.decompose import condense, decompose, scc
 from kout.digraph import KOutDigraph, RngSpec, generate
 from kout.distance import typical_distance
 from kout.outside import _scan, max_full_spectrum, outside_report, outside_view
@@ -55,7 +55,7 @@ def test_core_closed_surjective_and_cycle_closure(replicate):
     indeg = np.bincount(g.endpoints[core].ravel(), minlength=g.n)
     assert indeg[core].min() >= 1
     # vertices on a cycle: self-loops plus members of nontrivial SCCs
-    sizes = np.diff(dec.member_indptr)
+    sizes = np.bincount(dec.scc_id)
     on_cycle = (sizes[dec.scc_id] >= 2) | (g.endpoints == np.arange(g.n)[:, None]).any(1)
     assert np.array_equal(forward_closure(g.endpoints, np.flatnonzero(on_cycle)), core)
 
@@ -82,13 +82,17 @@ def test_giant_is_closed_scc_inside_core(replicate):
 
 def test_condensation_arcs_drop_to_smaller_ids(replicate):
     g, dec, _ = replicate
-    src = np.repeat(np.arange(dec.n_components), np.diff(dec.cond_indptr))
-    assert (dec.cond_indices < src).all()
+    succ, closed = condense(g, scc(g))
+    assert len(succ) == dec.n_components
+    src = np.repeat(np.arange(len(succ)), [s.size for s in succ])
+    dst = np.concatenate(succ)
+    assert (dst < src).all()
     a = np.repeat(dec.scc_id, g.k)
     b = dec.scc_id[g.endpoints.ravel()]
     want = np.unique(np.stack([a[a != b], b[a != b]], axis=1), axis=0)
-    assert np.array_equal(np.stack([src, dec.cond_indices], axis=1), want)
-    assert np.array_equal(dec.closed, np.diff(dec.cond_indptr) == 0)
+    assert np.array_equal(np.stack([src, dst], axis=1), want)
+    assert np.array_equal(dec.closed, closed)
+    assert np.array_equal(closed, [s.size == 0 for s in succ])
 
 
 def test_d_at_most_m(replicate):

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 from unittest import mock
 
@@ -19,7 +20,6 @@ from kout.oracle import (
 )
 from kout.outside import (
     _scan,
-    _view,
     distance_to_giant,
     enumerate_cycles,
     longest_path,
@@ -381,20 +381,6 @@ def test_one_scc_pass_per_replicate_on_the_core_outside_the_giant():
     assert max(rest_sizes) >= 2 and min(rest_sizes) < 2  # both cases were seen
 
 
-def report_view(g, d):
-    """The view that outside_report builds for (g, d)."""
-    views = []
-
-    def keep(*args):
-        views.append(_view(*args))
-        return views[-1]
-
-    with mock.patch.object(outside, "_view", side_effect=keep):
-        outside_report(g, d)
-    (view,) = views
-    return view
-
-
 def assert_same_view(a, b):
     for field in ("vertices", "indptr", "indices", "comp", "height"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
@@ -405,12 +391,40 @@ def assert_same_view(a, b):
 def test_report_view_equals_outside_view(rows):
     g = digraph_from_rows(rows)
     d = decompose(g)
-    assert_same_view(report_view(g, d), outside_view(g, d.giant))
+    assert_same_view(d.view, outside_view(g, d.giant))
 
 
 def test_report_view_equals_outside_view_at_1e5():
     g = generate(100_000, 2, RngSpec(13, 0))
     d = decompose(g)
-    view = report_view(g, d)
-    assert view.size == g.n - d.giant.size
-    assert_same_view(view, outside_view(g, d.giant))
+    assert d.view.size == g.n - d.giant.size
+    assert_same_view(d.view, outside_view(g, d.giant))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 1), (2, 2), (0, 3), (3, 3)],  # the closure of vertex 0 is not one SCC
+        [(0, 0), (2, 2), (3, 3), (1, 1)],  # a larger closed SCC than the closure
+        [(1, 1), (2, 2), (0, 0), (0, 1)],  # the closure is the giant
+        None,  # a random digraph at n = 2000
+    ],
+    ids=["closure-not-strong", "absorbing-closure-not-giant", "closure-is-giant", "random"],
+)
+def test_report_builds_no_second_view(rows):
+    # outside_report and max_full_spectrum read the view that decompose keeps;
+    # create=True spies on a builder name even where outside does not import it
+    g = generate(2000, 2, RngSpec(13, 1)) if rows is None else digraph_from_rows(rows)
+    d = decompose(g)
+    builders = {name: getattr(decompose_module, name) for name in ("_induced", "_rest")}
+    with contextlib.ExitStack() as stack:
+        spies = {
+            (module.__name__, name): stack.enter_context(
+                mock.patch.object(module, name, create=True, wraps=builder)
+            )
+            for module in (decompose_module, outside)
+            for name, builder in builders.items()
+        }
+        outside_report(g, d)
+        max_full_spectrum(g, d)
+    assert {key: spy.call_count for key, spy in spies.items()} == dict.fromkeys(spies, 0)
