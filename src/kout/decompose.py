@@ -19,12 +19,13 @@ from the ids when asked.  It also keeps the view outside the giant (an
 SCCs are found around the giant instead of by one pass over all vertices.
 Let v be the smallest vertex of the one-in-core and F its forward closure,
 found by a level-synchronous BFS.  A backward BFS from v over a reverse CSR
-(built for the check and dropped after it) decides whether every vertex of F
-reaches v, that is, whether F is one closed SCC; whp it is, and it is the
-giant.  F is closed, so every other SCC lies outside it, and every cycle lies
-in the one-in-core, so only the core vertices outside F can share a
-component.  ``scipy.sparse.csgraph`` labels just those, whp a few vertices;
-three in four replicates at n = 2*10^4 have fewer than two and make no call.
+(built for the check and dropped after it; its row pointers are the in-degree
+count the core peel starts from) decides whether every vertex of F reaches v,
+that is, whether F is one closed SCC; whp it is, and it is the giant.  F is
+closed, so every other SCC lies outside it, and every cycle lies in the
+one-in-core, so only the core vertices outside F can share a component.
+``scipy.sparse.csgraph`` labels just those, whp a few vertices; three in
+four replicates at n = 2*10^4 have fewer than two and make no call.
 When F is not one SCC (at small n, or when the largest SCC reaches an
 absorbing vertex), the same steps run without F, and scipy labels the whole
 one-in-core.  Heights come from one peel over the arcs between distinct
@@ -49,7 +50,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cs_connected_components
 
-from .digraph import KOutDigraph, _reverse_csr
+from .digraph import KOutDigraph, _indegree, _reverse_csr
 
 __all__ = [
     "Decomposition",
@@ -210,7 +211,7 @@ def _induced(endpoints: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.n
     relabelled 0 .. verts.size - 1; arcs leaving ``verts`` are dropped."""
     local_of = np.full(endpoints.shape[0], -1, dtype=np.int64)
     local_of[verts] = np.arange(verts.size)
-    local = local_of[endpoints[verts]]
+    local = local_of[endpoints.take(verts, axis=0)]
     stays = local >= 0
     indptr = np.zeros(verts.size + 1, dtype=np.int64)
     np.cumsum(stays.sum(axis=1), out=indptr[1:])
@@ -265,9 +266,9 @@ def _rest(endpoints: np.ndarray, core: np.ndarray, sink: np.ndarray) -> OutsideV
     return OutsideView(verts, indptr, indices, canon[index_of[rep]], height[order])
 
 
-def _core_mask(endpoints: np.ndarray) -> np.ndarray:
-    indeg = np.bincount(endpoints.ravel(), minlength=endpoints.shape[0])
-    return _peel(lambda f: endpoints[f].ravel(), indeg) < 0
+def _core_mask(endpoints: np.ndarray, indeg: np.ndarray) -> np.ndarray:
+    """One-in-core membership; ``indeg`` is ``_indegree(endpoints)``."""
+    return _peel(lambda f: endpoints.take(f, axis=0).ravel(), indeg) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,7 @@ def one_in_core(g: KOutDigraph) -> np.ndarray:
     >= 1 (equivalently: closed and surjective), so it is independent of the
     deletion order.
     """
-    return np.flatnonzero(_core_mask(g.endpoints))
+    return np.flatnonzero(_core_mask(g.endpoints, _indegree(g.endpoints)))
 
 
 def layers(g: KOutDigraph) -> tuple[int, int, int, int, bool]:
@@ -315,10 +316,12 @@ def layers(g: KOutDigraph) -> tuple[int, int, int, int, bool]:
 def decompose(g: KOutDigraph) -> Decomposition:
     """Run the whole decomposition once; cheaper than calling the ops separately."""
     endpoints = g.endpoints
-    core = _core_mask(endpoints)
+    indeg = _indegree(endpoints)
+    core = _core_mask(endpoints, indeg)
     v = int(np.argmax(core))
-    closure = _sweep(lambda f: endpoints[f].ravel(), np.zeros(g.n, dtype=bool), v)
-    rev_indptr, rev_indices = _reverse_csr(endpoints)
+    closure = _sweep(lambda f: endpoints.take(f, axis=0).ravel(), np.zeros(g.n, dtype=bool), v)
+    rev_indptr, rev_indices = _reverse_csr(endpoints, indeg)
+    del indeg
     strong = _sweep(lambda f: _rows(rev_indptr, rev_indices, f), ~closure, v).all()
     del rev_indptr, rev_indices
     sink = closure if strong else np.zeros(g.n, dtype=bool)

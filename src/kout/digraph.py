@@ -54,9 +54,9 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.seed < 2**64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (0 <= self.stream < 2**64):
+        if not (_is_integer(self.stream) and 0 <= self.stream < 2**64):
             raise ValueError(f"stream must be a 64-bit unsigned integer, got {self.stream!r}")
 
     def generator(self) -> np.random.Generator:
@@ -96,7 +96,7 @@ class KOutDigraph:
 
         Built on first use and kept, since the digraph does not change.
         """
-        return _reverse_csr(self.endpoints)
+        return _reverse_csr(self.endpoints, _indegree(self.endpoints))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KOutDigraph):
@@ -108,18 +108,26 @@ class KOutDigraph:
         )
 
 
-def _reverse_csr(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _indegree(endpoints: np.ndarray) -> np.ndarray:
+    """(n,) in-degree of every vertex of the out-table."""
+    return np.bincount(endpoints.ravel(), minlength=endpoints.shape[0])
+
+
+def _reverse_csr(
+    endpoints: np.ndarray, indeg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(row pointers, tails) of the reversed out-table, tails ascending in
-    each row.  Sorting the keys ``head * n + tail`` with numpy's vectorized
-    sort beats scipy's CSR -> CSC counting sort at n = 10^6 (whose scattered
-    writes miss the cache) and costs far less per call at small n."""
+    each row; ``indeg`` is ``_indegree(endpoints)``.  Sorting the keys
+    ``head * n + tail`` with numpy's vectorized sort beats scipy's CSR -> CSC
+    counting sort at n = 10^6 (whose scattered writes miss the cache) and
+    costs far less per call at small n."""
     n = endpoints.shape[0]
     keys = endpoints * n
     keys += np.arange(n)[:, None]
     keys = keys.ravel()
     keys.sort()
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(endpoints.ravel(), minlength=n), out=indptr[1:])
+    np.cumsum(indeg, out=indptr[1:])
     return indptr, np.remainder(keys, n, out=keys)
 
 

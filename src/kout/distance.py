@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import KOutDigraph, RngSpec, generate
+from .digraph import KOutDigraph, RngSpec, _indegree, generate
 from .decompose import _dense_csr, _distinct, _rows, _scc_labels
 
 __all__ = [
@@ -71,7 +71,7 @@ class _PairSearch:
             while True:
                 side = 0 if fronts[0].size <= fronts[1].size else 1
                 if side == 0:
-                    reached = self.endpoints[fronts[0]].ravel()
+                    reached = self.endpoints.take(fronts[0], axis=0).ravel()
                 else:
                     reached = _rows(self.rev_indptr, self.rev_indices, fronts[1])
                 labels, other = self.labels[side], self.labels[1 - side]
@@ -123,7 +123,7 @@ def _one_scc(g: KOutDigraph) -> bool:
 
 
 def has_indegree_zero_vertex(g: KOutDigraph) -> bool:
-    return bool((np.bincount(g.endpoints.ravel(), minlength=g.n) == 0).any())
+    return bool((_indegree(g.endpoints) == 0).any())
 
 
 @dataclass

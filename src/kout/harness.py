@@ -102,6 +102,8 @@ class ExperimentConfig:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         RngSpec(self.seed)  # raises on a seed the replicates could not use
+        if not _is_integer(self.reps):
+            raise ValueError(f"reps must be an integer, got {self.reps!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         unknown = self.collect - COLLECT_GROUPS

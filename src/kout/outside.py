@@ -49,7 +49,7 @@ from .decompose import (
     _rows,
     _scc_labels,
 )
-from .digraph import KOutDigraph
+from .digraph import KOutDigraph, _indegree
 from .errors import ComponentCapError, CycleCapError
 
 __all__ = [
@@ -72,7 +72,7 @@ def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
     """The view outside ``giant_set``, a closed SCC of g (the giant)."""
     sink = np.zeros(g.n, dtype=bool)
     sink[giant_set] = True
-    return _rest(g.endpoints, _core_mask(g.endpoints), sink)
+    return _rest(g.endpoints, _core_mask(g.endpoints, _indegree(g.endpoints)), sink)
 
 
 def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
@@ -267,7 +267,7 @@ def distance_to_giant(g: KOutDigraph, giant_set: np.ndarray) -> GiantDistances:
     rest = np.flatnonzero(~visited)
     level = 0
     while rest.size:
-        hits = visited[g.endpoints[rest]].any(axis=1)
+        hits = visited[g.endpoints.take(rest, axis=0)].any(axis=1)
         if not hits.any():
             break
         level += 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import derive_constants
 from .decompose import _core_mask
-from .digraph import RngSpec, _random_endpoints
+from .digraph import RngSpec, _indegree, _random_endpoints
 from .errors import RejectionLimitError
 
 __all__ = ["SurjectionSample", "sample_surjection", "RETRY_CAP"]
@@ -50,13 +50,13 @@ def sample_surjection(m: int, k: int, rng: RngSpec) -> SurjectionSample:
     gen = rng.generator()
     for attempt in range(1, RETRY_CAP + 1):
         endpoints = _random_endpoints(n, k, gen)
-        core = _core_mask(endpoints)
+        core = _core_mask(endpoints, _indegree(endpoints))
         if int(core.sum()) != m:
             continue
         keep = np.flatnonzero(core)
         rank = np.full(n, -1, dtype=np.int64)
         rank[keep] = np.arange(m)
-        mapping = rank[endpoints[keep]]
+        mapping = rank[endpoints.take(keep, axis=0)]
         # the core is closed, so no arc can have left it
         assert mapping.min() >= 0
         return SurjectionSample(m=m, k=k, mapping=mapping, retries=attempt)

@@ -210,3 +210,18 @@ def test_decompose_paths_match_brute(rows, sinks, giant_set):
         assert (d.scc_id[m] == c).all()
     assert frozenset(d.one_in_core.tolist()) == brute_one_in_core(rows)
     assert np.array_equal(d.view.vertices, np.setdiff1d(np.arange(g.n), d.giant))
+
+
+def test_decompose_counts_in_degrees_once():
+    # the peel and the reverse CSR share one in-degree count
+    g = generate(2000, 2, RngSpec(13, 2))
+    patches = [
+        mock.patch.object(decompose_module, name, wraps=getattr(decompose_module, name))
+        for name in ("_indegree", "_core_mask", "_reverse_csr")
+    ]
+    with patches[0] as count, patches[1] as core, patches[2] as rev:
+        decompose(g)
+    assert count.call_count == core.call_count == rev.call_count == 1
+    indeg = core.call_args.args[1]
+    assert rev.call_args.args[1] is indeg
+    assert np.array_equal(indeg, np.bincount(g.endpoints.ravel(), minlength=g.n))

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import csr_matrix
 
 from conftest import digraph_from_rows, endpoint_tables
 from kout import digraph
@@ -20,6 +21,8 @@ from kout.digraph import (
     generate_simple,
     is_simple,
     serialize,
+    _indegree,
+    _reverse_csr,
 )
 from kout.errors import DigraphFormatError, RejectionLimitError
 
@@ -59,12 +62,18 @@ def test_endpoint_validation():
         KOutDigraph(2, 2, np.array([[0, 1]]))
 
 
-@pytest.mark.parametrize("n, k", [(3.0, 1), (True, 1), (3, 1.0), (3, np.bool_(True))])
+@pytest.mark.parametrize(
+    "n, k", [(3.0, 1), (True, 1), (3, 1.0), (3, np.bool_(True)), (1.5, 0), (2, 2.5)]
+)
 def test_sizes_must_be_integers(n, k):
     with pytest.raises(ValueError, match="n and k must be integers"):
         KOutDigraph(n, k, np.zeros((3, 1), dtype=np.int64))
+    # the same values as a seed and a stream
+    with pytest.raises(ValueError, match="must be a 64-bit unsigned integer"):
+        RngSpec(n, k)
     # numpy integer scalars are integers
     assert KOutDigraph(np.int64(3), np.int32(1), np.zeros((3, 1), dtype=np.int64)).n == 3
+    assert RngSpec(np.uint64(3), np.int64(1)) == RngSpec(3, 1)
 
 
 @pytest.mark.parametrize(
@@ -81,6 +90,34 @@ def test_int64_endpoints_are_not_copied():
     ep = np.array([[1], [0]], dtype=np.int64)
     assert KOutDigraph(2, 1, ep).endpoints is ep
     assert KOutDigraph(2, 1, ep.astype(np.uint32)).endpoints.dtype == np.int64
+
+
+def _tables():
+    gen = np.random.default_rng(31)
+    return [
+        gen.integers(0, 50, size=(50, 3)),
+        gen.integers(0, 1000, size=(1000, 2)),
+        np.zeros((1, 2), dtype=np.int64),  # n = 1: two self-loops
+        np.full((20, 2), 7),  # every arc into one vertex
+        gen.permutation(100)[:, None],  # k = 1: a permutation
+    ]
+
+
+@pytest.mark.parametrize(
+    "endpoints", _tables(), ids=["random-k3", "random-k2", "n1", "one-head", "permutation"]
+)
+def test_reverse_csr_matches_scipy_csc(endpoints):
+    n, k = endpoints.shape
+    indptr, tails = _reverse_csr(endpoints, _indegree(endpoints))
+    # column v of the table's CSC lists the tails of v's in-arcs, ascending
+    csc = csr_matrix(
+        (np.ones(n * k, dtype=np.int8), endpoints.ravel(), np.arange(0, n * k + 1, k)),
+        shape=(n, n),
+    ).tocsc()
+    assert np.array_equal(indptr, csc.indptr)
+    assert np.array_equal(tails, csc.indices)
+    g_indptr, g_tails = KOutDigraph(n, k, endpoints).reverse_csr
+    assert np.array_equal(g_indptr, indptr) and np.array_equal(g_tails, tails)
 
 
 def test_indegree_mean():

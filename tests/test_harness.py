@@ -205,10 +205,15 @@ def test_config_validation():
         ExperimentConfig(n=10, k=2, reps=1, seed=1, collect=frozenset({"bogus"}))
 
 
-@pytest.mark.parametrize("n, k", [(3.0, 2), (True, 2), (3, 2.0), (3, False)])
+@pytest.mark.parametrize(
+    "n, k", [(3.0, 2), (True, 2), (3, 2.0), (3, False), (2.0, 1), (3, 1.5)]
+)
 def test_config_sizes_must_be_integers(n, k):
     with pytest.raises(ValueError, match="n and k must be integers"):
         ExperimentConfig(n=n, k=k, reps=1, seed=1)
+    # the same values as a replicate count and a seed
+    with pytest.raises(ValueError, match="reps must be an integer|seed must be"):
+        ExperimentConfig(n=3, k=2, reps=n, seed=k)
     assert ExperimentConfig(n=np.int64(3), k=np.int64(2), reps=1, seed=1).n == 3
 
 

@@ -205,3 +205,31 @@ def test_typical_distance_matches_forward_bfs(replicate):
     assert sample.distances == [d for d in want if d >= 0]
     # both outcomes occur, so the early exit on an empty level is exercised
     assert 0 < sample.finite_count < pairs
+
+
+def assert_same_fields(a, b):
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, other), name
+        elif name == "view":
+            assert_same_fields(value, other)
+        else:
+            assert value == other, name
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_results_do_not_depend_on_the_table_layout(layout):
+    # the row gathers read the out-table through its strides, whatever they are
+    g = generate(20_000, 2, RngSpec(808, 0))
+    if layout == "fortran":
+        table = np.asfortranarray(g.endpoints)
+    else:
+        table = np.repeat(g.endpoints, 3, axis=0)[::3]
+    h = KOutDigraph(g.n, g.k, table)
+    assert h.endpoints is table and not table.flags.c_contiguous
+    dg, dh = decompose(g), decompose(h)
+    assert_same_fields(dg, dh)
+    assert_same_fields(outside_report(g, dg), outside_report(h, dh))
+    rng = RngSpec(808, 1)
+    assert typical_distance(g, 200, rng) == typical_distance(h, 200, rng)
