@@ -10,9 +10,13 @@ Two records live beside this script:
   int64 bytes.  It uses ``RngSpec(20260809, 8)``, the first stream of this
   seed whose replicate has a cycle outside the giant and a nonempty middle
   layer, so cycle enumeration and the longest-path search through a
-  nontrivial component are both pinned.
+  nontrivial component are both pinned;
+- ``cli_stdout.txt``: the stdout of each command in ``CLI_COMMANDS``, run
+  through ``kout.cli.main`` in one process with ``KOUT_THREADS=1``, each
+  under a ``$ kout ...`` header line; the wall-time line ``"ms_elapsed"`` of
+  ``distance --json`` is dropped.
 
-``tests/test_golden.py`` recomputes both and compares them byte for byte.
+``tests/test_golden.py`` recomputes all three and compares them byte for byte.
 Regenerate (only when a change is meant to alter outputs) from the repository
 root with::
 
@@ -21,14 +25,18 @@ root with::
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from kout.cli import main
 from kout.decompose import decompose
 from kout.digraph import RngSpec, generate
 from kout.harness import CSV_COLUMNS, ExperimentConfig, _cell, run_experiment
@@ -37,8 +45,27 @@ from kout.outside import outside_report
 HERE = Path(__file__).resolve().parent
 CSV_PATH = HERE / "montecarlo_n2000.csv"
 JSON_PATH = HERE / "replicate_n100000.json"
+CLI_PATH = HERE / "cli_stdout.txt"
 SEED = 20260809
 REPLICATE_STREAM = 8
+
+CLI_COMMANDS = (
+    "constants --k 3",
+    "constants --k 7 --json",
+    "analyze --n 400 --k 2 --seed 7 --stream 1",
+    "analyze --n 400 --k 2 --seed 7 --stream 1 --json",
+    "analyze --n 400 --k 1 --seed 7 --stream 1",
+    "analyze --n 400 --k 1 --seed 7 --stream 1 --json",
+    "distance --n 2000 --k 2 --pairs 40 --seed 6 --json",
+    "surjection --m 30 --k 2 --count 3 --seed 4 --json",
+    "oracle enumerate --n 3 --k 2",
+    "oracle stirling --x 12 --y 5",
+    "oracle gw --mu 0.2 --k 2 --m 4",
+    "phase --n 60 --kmin 1 --kmax 3 --reps 5 --seed 2 --csv",
+    "generate --n 12 --k 2 --seed 3",
+    "generate --n 12 --k 2 --seed 3 --simple",
+    "montecarlo --n 500 --k 2 --reps 8 --seed 11",
+)
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -88,7 +115,24 @@ def replicate_json() -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
+def cli_stdout() -> str:
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"KOUT_THREADS": "1"}):
+        for command in CLI_COMMANDS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(command.split())
+            if code != 0:
+                raise RuntimeError(f"kout {command} exited {code}")
+            out.write(f"$ kout {command}\n")
+            for line in buf.getvalue().splitlines(keepends=True):
+                if not line.lstrip().startswith('"ms_elapsed"'):
+                    out.write(line)
+    return out.getvalue()
+
+
 if __name__ == "__main__":
     CSV_PATH.write_text(montecarlo_csv(), newline="")
     JSON_PATH.write_text(replicate_json())
-    print(f"wrote {CSV_PATH.name} and {JSON_PATH.name}")
+    CLI_PATH.write_text(cli_stdout())
+    print(f"wrote {CSV_PATH.name}, {JSON_PATH.name} and {CLI_PATH.name}")

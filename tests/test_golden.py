@@ -2,7 +2,8 @@
 
 Repeated-run and serial/parallel determinism (criterion 13) only compare the
 current code with itself; these records catch a rewrite that changes any
-statistic.  See ``tests/golden/make_golden.py`` for how they were produced.
+statistic, and the CLI record catches a change to any subcommand's stdout.
+See ``tests/golden/make_golden.py`` for how they were produced.
 """
 
 import sys
@@ -21,3 +22,8 @@ def test_golden_montecarlo_csv():
 def test_golden_replicate_n100000():
     want = make_golden.JSON_PATH.read_bytes()
     assert make_golden.replicate_json().encode() == want
+
+
+def test_golden_cli_stdout():
+    want = make_golden.CLI_PATH.read_bytes()
+    assert make_golden.cli_stdout().encode() == want
