@@ -5,9 +5,10 @@ oracle (enumerate | stirling | gw), montecarlo.  Every subcommand exits 0 on
 success and reports a failure in one line on stderr, ``"{label}: {message}"``,
 with the exit code of the first matching row of ``_FAILURES``: 5 for an
 invalid ``KOUT_THREADS``; 2 for a rejected argument value, flag combination
-or input file (a ``ValueError``, e.g. ``--pairs 0``, or ``analyze`` without
-``--in`` or a full ``--n/--k/--seed``), as argparse does for a malformed flag,
-and for an invariant violation under ``montecarlo --validate``; 3 for an I/O
+or input file (a ``ValueError``, e.g. ``--pairs 0``, ``--count 0``, or
+``analyze`` without ``--in`` or a full ``--n/--k/--seed``), as argparse does
+for a malformed flag, and for an invariant violation under ``montecarlo
+--validate`` (``invariant violation: replicate i: ...``); 3 for an I/O
 error; 4 when an exact search outside the giant or a rejection sampler
 exceeds its cap.  Any other exception propagates with its traceback.
 """
@@ -164,8 +165,7 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_surjection(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"count must be >= 1, got {args.count}")
+    digraph._check_int("count", args.count, 1)
     samples = [
         sample_surjection(args.m, args.k, digraph.RngSpec(args.seed, i))
         for i in range(args.count)

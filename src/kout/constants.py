@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .digraph import _check_int
+
 __all__ = [
     "ModelConstants",
     "solve_tau",
@@ -67,13 +69,6 @@ class ModelConstants:
         d = {f: getattr(self, f) for f in self.__dataclass_fields__}
         d["lambda"] = d.pop("lambda_")
         return d
-
-
-def _validate_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"k must be an integer, got {k!r}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +107,7 @@ def solve_tau(k: int) -> float:
     to exactly k while the gap itself remains available as ``k * mu`` of
     :func:`derive_constants`.
     """
-    _validate_k(k)
+    _check_int("k", k, 2)
     x = k - _solve_eps(k)
     if not (k - 0.5 < x <= k) or abs(1.0 - x / k - math.exp(-x)) >= 1e-12:
         raise ArithmeticError(f"tau solver failed to converge for k={k}")
@@ -129,7 +124,8 @@ def derive_constants(k: int) -> ModelConstants:
     floating point for every k; nu, tau and gamma are allowed to round to
     their limits (1, k, 1) once the gap drops below float resolution.
     """
-    _validate_k(k)
+    _check_int("k", k, 2)
+    k = int(k)
     eps = _solve_eps(k)  # = k - tau = k * exp(-tau)
     tau = k - eps
     mu = eps / k  # = exp(-tau)

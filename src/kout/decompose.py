@@ -152,6 +152,11 @@ def _split(values: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
 def _scc_labels(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, np.ndarray]:
     """(number of SCCs, arbitrary SCC label per vertex) of a CSR digraph."""
     n = indptr.size - 1
+    # int8 data is load-bearing: scipy converts it to float64 and so tidies a
+    # copy (sorted rows, parallel arcs summed).  Handed float64 data directly,
+    # it skips that step, and on our unsorted rows with parallel arcs its SCC
+    # pass mislabels (44 components instead of 6 on generate(200, 4,
+    # RngSpec(5, 0))) or does not return (generate(200, 3, RngSpec(5, 1))).
     mat = csr_matrix(
         (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n)
     )

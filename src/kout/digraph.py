@@ -10,6 +10,10 @@ Randomness: :class:`RngSpec` names a PCG64 generator seeded from
 ``numpy.random.SeedSequence(seed, spawn_key=(stream,))``.  Distinct streams
 give independent generators for parallel replicates; the same ``(seed,
 stream)`` always reproduces the same digraph within this implementation.
+
+Every integer argument of the package (sizes, counts, seeds, streams) goes
+through ``_check_int``: a Python or numpy integer, not a bool, at or above its
+minimum, or ``ValueError`` naming the argument before anything is drawn.
 """
 
 from __future__ import annotations
@@ -41,9 +45,18 @@ MAGIC = b"KOUT1"
 SIMPLE_ATTEMPT_CAP = 1_000_000
 
 
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; False for a bool or anything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_int(name: str, value, minimum: int = 0, bits: int | None = None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or
+    numpy integer, not a bool, at or above ``minimum`` (and below ``2**bits``
+    when ``bits`` is given)."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if bits is not None:
+        if not (is_int and minimum <= value < 2**bits):
+            raise ValueError(f"{name} must be a {bits}-bit unsigned integer, got {value!r}")
+    elif not is_int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +67,8 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (_is_integer(self.stream) and 0 <= self.stream < 2**64):
-            raise ValueError(f"stream must be a 64-bit unsigned integer, got {self.stream!r}")
+        _check_int("seed", self.seed, bits=64)
+        _check_int("stream", self.stream, bits=64)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -76,10 +87,8 @@ class KOutDigraph:
     endpoints: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.n) and _is_integer(self.k)):
-            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
+        _check_int("n", self.n, 1)
+        _check_int("k", self.k, 1)
         ep = np.asarray(self.endpoints)
         if ep.dtype.kind not in "iu":
             raise ValueError(f"endpoints must be integers, got dtype {ep.dtype}")
@@ -137,10 +146,8 @@ def _random_endpoints(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
 
 def generate(n: int, k: int, rng: RngSpec) -> KOutDigraph:
     """Draw every arc endpoint i.i.d. uniform on [0, n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_int("n", n, 1)
+    _check_int("k", k, 1)
     return KOutDigraph(n, k, _random_endpoints(n, k, rng.generator()))
 
 
@@ -162,8 +169,8 @@ def generate_simple(n: int, k: int, rng: RngSpec) -> tuple[KOutDigraph, int]:
     exp(-k - k(k-1)/2), so the cap ``SIMPLE_ATTEMPT_CAP`` (read at call time)
     fails loudly for k beyond ~5 instead of hanging.
     """
-    if n <= k:
-        raise ValueError(f"simple k-out digraphs need n > k, got n={n}, k={k}")
+    _check_int("k", k, 1)
+    _check_int("n", n, k + 1)  # a simple row needs k endpoints other than v
     gen = rng.generator()
     for attempt in range(1, SIMPLE_ATTEMPT_CAP + 1):
         ep = _random_endpoints(n, k, gen)

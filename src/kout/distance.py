@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import KOutDigraph, RngSpec, _indegree, generate
+from .digraph import KOutDigraph, RngSpec, _check_int, _indegree, generate
 from .decompose import _dense_csr, _distinct, _rows, _scc_labels
 
 __all__ = [
@@ -94,8 +94,7 @@ class _PairSearch:
 def typical_distance(g: KOutDigraph, pairs: int, rng: RngSpec) -> DistanceSample:
     """Sample ``pairs`` ordered vertex pairs and compute the distance of each
     by bidirectional BFS."""
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    _check_int("pairs", pairs, 1)
     gen = rng.generator()
     draws = gen.integers(0, g.n, size=(pairs, 2), dtype=np.int64)
     search = _PairSearch(g)
@@ -143,10 +142,9 @@ def phase_sweep(
 
     Replicate (k, r) uses stream ``rng.stream + (k - k_min) * reps + r``.
     """
-    if not (1 <= k_min <= k_max):
-        raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}, {k_max}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_int("k_min", k_min, 1)
+    _check_int("k_max", k_max, k_min)
+    _check_int("reps", reps, 1)
     points: list[PhasePoint] = []
     for ki, k in enumerate(range(k_min, k_max + 1)):
         sc = 0

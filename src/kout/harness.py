@@ -31,7 +31,7 @@ import numpy as np
 
 from .constants import ModelConstants
 from .decompose import decompose
-from .digraph import RngSpec, _is_integer, count_multi_pairs, count_self_loops, generate
+from .digraph import RngSpec, _check_int, count_multi_pairs, count_self_loops, generate
 from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
 from .outside import outside_report
 
@@ -95,17 +95,10 @@ class ExperimentConfig:
     validate: bool = False
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.n) and _is_integer(self.k)):
-            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        RngSpec(self.seed)  # raises on a seed the replicates could not use
-        if not _is_integer(self.reps):
-            raise ValueError(f"reps must be an integer, got {self.reps!r}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        _check_int("n", self.n, 1)
+        _check_int("k", self.k, 1)
+        _check_int("seed", self.seed, bits=64)
+        _check_int("reps", self.reps, 1)
         unknown = self.collect - COLLECT_GROUPS
         if unknown:
             raise ValueError(f"unknown collect groups: {sorted(unknown)}")
@@ -200,14 +193,15 @@ def _run_replicate(config: ExperimentConfig, index: int) -> ReplicateRecord:
 
 
 def _validate_record(g, dec, record: ReplicateRecord, cycles) -> None:
-    core_set = set(dec.one_in_core.tolist())
-    if not set(dec.giant.tolist()) <= core_set:
+    in_core = np.zeros(g.n, dtype=bool)
+    in_core[dec.one_in_core] = True
+    if not in_core[dec.giant].all():
         raise InvariantViolationError("giant not contained in one-in-core")
     if not (record.g_size <= record.q_size <= g.n):
         raise InvariantViolationError("layer sizes out of order")
     if cycles is not None:
         for cyc in cycles:
-            if not set(cyc) <= core_set:
+            if not in_core[cyc].all():
                 raise InvariantViolationError(f"cycle {cyc} leaves the one-in-core")
     if record.d is not None and record.m is not None and record.d > record.m:
         raise InvariantViolationError(f"D={record.d} exceeds M={record.m}")

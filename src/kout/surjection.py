@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import derive_constants
 from .decompose import _core_mask
-from .digraph import RngSpec, _indegree, _random_endpoints
+from .digraph import RngSpec, _check_int, _indegree, _random_endpoints
 from .errors import RejectionLimitError
 
 __all__ = ["SurjectionSample", "sample_surjection", "RETRY_CAP"]
@@ -42,10 +42,8 @@ def sample_surjection(m: int, k: int, rng: RngSpec) -> SurjectionSample:
 
     Gives up after ``RETRY_CAP`` digraphs (read at call time).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_int("m", m, 1)
+    _check_int("k", k, 2)
     n = math.ceil(m / derive_constants(k).nu)
     gen = rng.generator()
     for attempt in range(1, RETRY_CAP + 1):

@@ -126,6 +126,25 @@ def test_invalid_value_exit_code_other_subcommands(tmp_path, capsys):
         assert err.count("\n") == 1 and err.startswith("invalid input: "), argv
 
 
+def test_montecarlo_validate_violation_exit_code(monkeypatch, capsys):
+    real = harness.outside_report
+
+    def d_above_m(g, dec, collect):
+        rep = real(g, dec, collect)
+        rep.d = rep.m + 1
+        return rep
+
+    monkeypatch.setenv("KOUT_THREADS", "1")  # serial, so the patch applies
+    monkeypatch.setattr(harness, "outside_report", d_above_m)
+    argv = ["montecarlo", "--n", "100", "--k", "2", "--reps", "2", "--seed", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("invariant violation: replicate 0: D=") and "exceeds M=" in err
+
+
 NEED_INPUT = "either --in FILE or all of --n/--k/--seed are required"
 
 

@@ -47,9 +47,9 @@ def test_solve_tau_residual():
 
 
 def test_solve_tau_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be >= 2, got 1$"):
         solve_tau(1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
         solve_tau(2.0)  # type: ignore[arg-type]
 
 

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import digraph_from_rows, endpoint_tables
-from kout.decompose import condense, decompose, giant, layers, one_in_core, scc
+from kout.decompose import (
+    _dense_csr,
+    _scc_labels,
+    condense,
+    decompose,
+    giant,
+    layers,
+    one_in_core,
+    scc,
+)
 from kout.digraph import RngSpec, generate
 from kout.oracle import brute_cycles, brute_giant, brute_one_in_core, brute_scc_sets
 
@@ -225,3 +234,15 @@ def test_decompose_counts_in_degrees_once():
     indeg = core.call_args.args[1]
     assert rev.call_args.args[1] is indeg
     assert np.array_equal(indeg, np.bincount(g.endpoints.ravel(), minlength=g.n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_scc_labels_on_raw_out_tables_match_brute(k):
+    # out-table rows are unsorted and may repeat an endpoint; scipy labels
+    # them right only when it tidies the matrix first (see _scc_labels)
+    for stream in range(3):
+        g = generate(200, k, RngSpec(5, stream))
+        ncomp, labels = _scc_labels(*_dense_csr(g.endpoints))
+        got = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(ncomp))
+        want = sorted(tuple(sorted(c)) for c in brute_scc_sets(g.endpoints.tolist()))
+        assert got == want

@@ -66,11 +66,16 @@ def test_endpoint_validation():
     "n, k", [(3.0, 1), (True, 1), (3, 1.0), (3, np.bool_(True)), (1.5, 0), (2, 2.5)]
 )
 def test_sizes_must_be_integers(n, k):
-    with pytest.raises(ValueError, match="n and k must be integers"):
+    # the first argument that is not an integer is the one reported
+    bad, value = ("k", k) if type(n) is int else ("n", n)
+    with pytest.raises(ValueError) as exc:
         KOutDigraph(n, k, np.zeros((3, 1), dtype=np.int64))
+    assert str(exc.value) == f"{bad} must be an integer, got {value!r}"
     # the same values as a seed and a stream
-    with pytest.raises(ValueError, match="must be a 64-bit unsigned integer"):
+    with pytest.raises(ValueError) as exc:
         RngSpec(n, k)
+    name = {"n": "seed", "k": "stream"}[bad]
+    assert str(exc.value) == f"{name} must be a 64-bit unsigned integer, got {value!r}"
     # numpy integer scalars are integers
     assert KOutDigraph(np.int64(3), np.int32(1), np.zeros((3, 1), dtype=np.int64)).n == 3
     assert RngSpec(np.uint64(3), np.int64(1)) == RngSpec(3, 1)

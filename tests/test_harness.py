@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -7,11 +8,19 @@ import pytest
 
 from kout import errors, outside
 from kout.constants import derive_constants
-from kout.errors import ComponentCapError, CycleCapError, SettingError
+from kout.decompose import decompose
+from kout.digraph import RngSpec, generate
+from kout.errors import (
+    ComponentCapError,
+    CycleCapError,
+    InvariantViolationError,
+    SettingError,
+)
 from kout.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ReplicateRecord,
+    _validate_record,
     ks_statistic_normal,
     normal_cdf,
     poisson_pmf_folded,
@@ -209,11 +218,19 @@ def test_config_validation():
     "n, k", [(3.0, 2), (True, 2), (3, 2.0), (3, False), (2.0, 1), (3, 1.5)]
 )
 def test_config_sizes_must_be_integers(n, k):
-    with pytest.raises(ValueError, match="n and k must be integers"):
+    # the first argument that is not an integer is the one reported
+    bad, value = ("k", k) if type(n) is int else ("n", n)
+    with pytest.raises(ValueError) as exc:
         ExperimentConfig(n=n, k=k, reps=1, seed=1)
+    assert str(exc.value) == f"{bad} must be an integer, got {value!r}"
     # the same values as a replicate count and a seed
-    with pytest.raises(ValueError, match="reps must be an integer|seed must be"):
+    with pytest.raises(ValueError) as exc:
         ExperimentConfig(n=3, k=2, reps=n, seed=k)
+    want = {
+        "n": f"reps must be an integer, got {value!r}",
+        "k": f"seed must be a 64-bit unsigned integer, got {value!r}",
+    }[bad]
+    assert str(exc.value) == want
     assert ExperimentConfig(n=np.int64(3), k=np.int64(2), reps=1, seed=1).n == 3
 
 
@@ -221,6 +238,43 @@ def test_validate_mode_passes_on_healthy_runs():
     cfg = ExperimentConfig(n=150, k=2, reps=4, seed=13, validate=True)
     records = run_experiment(cfg, workers=1)
     assert len(records) == 4
+
+
+def _replicate_with_cycle():
+    """(digraph, decomposition, report, record) of the first replicate at
+    n = 300, seed 2, with a cycle outside the giant."""
+    cfg = ExperimentConfig(n=300, k=2, reps=1, seed=2)
+    for i in range(50):
+        g = generate(cfg.n, cfg.k, RngSpec(cfg.seed, i))
+        dec = decompose(g)
+        rep = outside.outside_report(g, dec)
+        if rep.cycles:
+            return g, dec, rep, run_replicate(cfg, i)
+    raise AssertionError("no replicate with a cycle outside the giant")
+
+
+@pytest.mark.parametrize("fault", ["giant", "sizes", "cycle", "distances"])
+def test_each_validate_check_fires(fault):
+    g, dec, rep, record = _replicate_with_cycle()
+    cycles = rep.cycles
+    _validate_record(g, dec, record, cycles)
+    if fault == "giant":
+        core = np.setdiff1d(dec.one_in_core, dec.giant[:1])
+        dec = dataclasses.replace(dec, one_in_core=core)
+        message = "giant not contained in one-in-core"
+    elif fault == "sizes":
+        record = dataclasses.replace(record, q_size=g.n + 1)
+        message = "layer sizes out of order"
+    elif fault == "cycle":
+        stray = int(np.setdiff1d(np.arange(g.n), dec.one_in_core)[0])
+        cycles = cycles + [[stray]]
+        message = f"cycle [{stray}] leaves the one-in-core"
+    else:
+        record = dataclasses.replace(record, d=record.m + 1)
+        message = f"D={record.m + 1} exceeds M={record.m}"
+    with pytest.raises(InvariantViolationError) as exc:
+        _validate_record(g, dec, record, cycles)
+    assert str(exc.value) == message
 
 
 def test_replicate_error_tagged(monkeypatch):
