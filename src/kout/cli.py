@@ -214,18 +214,12 @@ def _cmd_oracle_gw(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    collect_map = {
-        "all": harness.DEFAULT_COLLECT,
-        "core": frozenset({"core"}),
-        "cycles": frozenset({"core", "cycles"}),
-        "distances": frozenset({"core", "distances"}),
-    }
     config = harness.ExperimentConfig(
         n=args.n,
         k=args.k,
         reps=args.reps,
         seed=args.seed,
-        collect=collect_map[args.collect],
+        collect=harness.COLLECT_GROUPS if args.collect == "all" else frozenset({args.collect}),
         validate=args.validate,
     )
     records = harness.run_experiment(config)

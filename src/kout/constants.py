@@ -71,7 +71,6 @@ class ModelConstants:
         return d
 
 
-@lru_cache(maxsize=None)
 def _solve_eps(k: int) -> float:
     """The gap eps = k - tau, with full relative precision.
 
@@ -99,22 +98,15 @@ def _solve_eps(k: int) -> float:
 def solve_tau(k: int) -> float:
     """Root of ``1 - tau/k - exp(-tau)``, which lies in ``(k - 1/2, k)``.
 
-    Solved by bisection (guaranteed bracket) plus a Newton polish, in terms of
-    the gap k - tau so the answer stays meaningful at large k.  The result is
-    checked to satisfy ``abs(1 - tau/k - exp(-tau)) < 1e-12`` and
-    ``ArithmeticError`` is raised if it does not; for k beyond ~37 the gap
-    is smaller than the float spacing at k, so the returned double may round
-    to exactly k while the gap itself remains available as ``k * mu`` of
-    :func:`derive_constants`.
+    This is the ``tau`` of :func:`derive_constants`.  For k beyond ~37 the
+    gap k - tau is smaller than the float spacing at k, so the returned double
+    may round to exactly k while the gap itself remains available as
+    ``k * mu``.
     """
-    _check_int("k", k, 2)
-    x = k - _solve_eps(k)
-    if not (k - 0.5 < x <= k) or abs(1.0 - x / k - math.exp(-x)) >= 1e-12:
-        raise ArithmeticError(f"tau solver failed to converge for k={k}")
-    return x
+    return derive_constants(k).tau
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def derive_constants(k: int) -> ModelConstants:
     """Populate every derived constant for this k.
 
@@ -123,11 +115,15 @@ def derive_constants(k: int) -> ModelConstants:
     rather than from tau itself, so they stay strictly positive/negative in
     floating point for every k; nu, tau and gamma are allowed to round to
     their limits (1, k, 1) once the gap drops below float resolution.
+    ``ArithmeticError`` is raised unless tau lies in ``(k - 1/2, k]`` with
+    ``abs(1 - tau/k - exp(-tau)) < 1e-12``.  The cache is typed, so a float or
+    bool k never hits the entry of an equal int.
     """
-    _check_int("k", k, 2)
-    k = int(k)
+    k = _check_int("k", k, 2)
     eps = _solve_eps(k)  # = k - tau = k * exp(-tau)
     tau = k - eps
+    if not (k - 0.5 < tau <= k) or abs(1.0 - tau / k - math.exp(-tau)) >= 1e-12:
+        raise ArithmeticError(f"tau solver failed to converge for k={k}")
     mu = eps / k  # = exp(-tau)
     nu = 1.0 - mu
     sigma2 = tau / (k * math.exp(tau) * (1.0 - eps))

@@ -45,10 +45,10 @@ MAGIC = b"KOUT1"
 SIMPLE_ATTEMPT_CAP = 1_000_000
 
 
-def _check_int(name: str, value, minimum: int = 0, bits: int | None = None) -> None:
+def _check_int(name: str, value, minimum: int = 0, bits: int | None = None) -> int:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or
     numpy integer, not a bool, at or above ``minimum`` (and below ``2**bits``
-    when ``bits`` is given)."""
+    when ``bits`` is given); return it as a plain ``int``."""
     is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if bits is not None:
         if not (is_int and minimum <= value < 2**bits):
@@ -57,6 +57,7 @@ def _check_int(name: str, value, minimum: int = 0, bits: int | None = None) -> N
         raise ValueError(f"{name} must be an integer, got {value!r}")
     elif value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

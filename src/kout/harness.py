@@ -33,7 +33,7 @@ from .constants import ModelConstants
 from .decompose import decompose
 from .digraph import RngSpec, _check_int, count_multi_pairs, count_self_loops, generate
 from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
-from .outside import outside_report
+from .outside import FULL_COLLECT, outside_report
 
 __all__ = [
     "ExperimentConfig",
@@ -53,8 +53,7 @@ __all__ = [
     "tv_joint_to_poisson",
 ]
 
-COLLECT_GROUPS = frozenset({"core", "cycles", "spectra", "distances"})
-DEFAULT_COLLECT = COLLECT_GROUPS
+COLLECT_GROUPS = FULL_COLLECT | {"core"}
 
 CSV_COLUMNS = (
     "replicate",
@@ -91,7 +90,7 @@ class ExperimentConfig:
     k: int
     reps: int
     seed: int
-    collect: frozenset[str] = DEFAULT_COLLECT
+    collect: frozenset[str] = COLLECT_GROUPS
     validate: bool = False
 
     def __post_init__(self) -> None:

@@ -1,13 +1,18 @@
 """Ground truth independent of the main pipeline.
 
 Nothing in this module touches :mod:`kout.decompose` or :mod:`kout.outside`:
-the graph statistics here are recomputed from scratch with reachability
-closures and exhaustive search over subsets, so they can arbitrate the fast
-implementations.  The number theory (Stirling numbers, surjection counts) is
-exact big-integer arithmetic; expectations come out as :class:`~fractions.Fraction`.
+the graph statistics here are recomputed from scratch with one plain BFS
+(``_bfs``: reachability, spectrum sizes, eccentricities, distances) and one
+exhaustive sweep over vertex subsets (``_closed_surjective_masks``:
+k-surjection sets, the one-in-core, and the tallies of :func:`enumerate_all`),
+so they can arbitrate the fast implementations.  The number theory (Stirling
+numbers, surjection counts) is exact big-integer arithmetic; expectations come
+out as :class:`~fractions.Fraction`.
 
 The brute-force helpers accept a plain endpoint table: any sequence of ``n``
-rows, each a sequence of ``k`` vertex ids in ``[0, n)``.
+rows, each a sequence of ``k`` vertex ids in ``[0, n)``.  Integer arguments go
+through the package rule ``digraph._check_int``: a Python or numpy integer, not
+a bool, at or above its minimum, or ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+from .digraph import _check_int
 
 __all__ = [
     "stirling2",
@@ -60,7 +67,8 @@ def stirling2(x: int, y: int) -> int:
     are never needed.  Guarded at x <= 600: beyond that use
     :func:`good_log_stirling`, which works in log space.
     """
-    if y < 0 or x < 0 or y > x:
+    x, y = _check_int("x", x), _check_int("y", y)
+    if y > x:
         raise ValueError(f"need 0 <= y <= x, got x={x}, y={y}")
     if x > STIRLING_MAX_X:
         raise ValueError(
@@ -81,8 +89,7 @@ def stirling2(x: int, y: int) -> int:
 
 def surjection_count(m: int, k: int) -> int:
     """Number of surjective functions [km] -> [m]: m! * S{km, m}."""
-    if m < 1 or k < 1:
-        raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
+    m, k = _check_int("m", m, 1), _check_int("k", k, 1)
     return math.factorial(m) * stirling2(k * m, m)
 
 
@@ -92,7 +99,8 @@ def expected_k_surjections(n: int, s: int, k: int) -> Fraction:
     A fixed set of size s is closed and surjective with probability
     S{ks,s} s! / n^{ks}; multiply by C(n, s) choices of the set.
     """
-    if not (1 <= s <= n):
+    n, s, k = _check_int("n", n, 1), _check_int("s", s, 1), _check_int("k", k, 1)
+    if s > n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     return Fraction(
         math.comb(n, s) * stirling2(k * s, s) * math.factorial(s), n ** (k * s)
@@ -108,8 +116,7 @@ def good_log_stirling(s: int, k: int, tau: float) -> float:
     instead the ratio to the exact value converges to ~0.90 rather than 1
     (checked against exact S{400,200}), so that variant is rejected.
     """
-    if s < 1 or k < 2:
-        raise ValueError(f"need s >= 1 and k >= 2, got s={s}, k={k}")
+    s, k = _check_int("s", s, 1), _check_int("k", k, 2)
     log_expm1_tau = tau + math.log1p(-math.exp(-tau))  # log(e^tau - 1), overflow-safe
     return (
         math.lgamma(k * s + 1)
@@ -124,13 +131,17 @@ def good_log_stirling(s: int, k: int, tau: float) -> float:
 # Galton-Watson probability generating function
 
 
+def _check_gw_domain(mu: float, k: int, m: int) -> None:
+    _check_int("k", k, 1)
+    _check_int("m", m, 0)
+    if not (0.0 < mu < 1.0):
+        raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
+
+
 def gw_extinction(mu: float, k: int, m: int) -> float:
     """P(generation m is empty) for Bin(k, mu) offspring: the m-fold
     composition of phi(y) = (1 - mu(1-y))^k evaluated at 0."""
-    if not (0.0 < mu < 1.0):
-        raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _check_gw_domain(mu, k, m)
     y = 0.0
     for _ in range(m):
         y = (1.0 - mu * (1.0 - y)) ** k
@@ -144,10 +155,7 @@ def gw_survival(mu: float, k: int, m: int) -> float:
     order (k mu)^m stay exactly representable where the extinction form has
     already rounded to 1.0.
     """
-    if not (0.0 < mu < 1.0):
-        raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _check_gw_domain(mu, k, m)
     s = 1.0
     for _ in range(m):
         s = -math.expm1(k * math.log1p(-mu * s))
@@ -155,8 +163,8 @@ def gw_survival(mu: float, k: int, m: int) -> float:
 
 
 def _check_bound_domain(mu: float, k: int, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_int("k", k, 1)
+    _check_int("m", m, 1)
     if not (0.0 < mu < 1.0 / (2 * k)):
         raise ValueError(f"bound requires mu in (0, 1/(2k)) = (0, {1/(2*k)}), got {mu!r}")
 
@@ -180,27 +188,50 @@ def gw_bound_survival(mu: float, k: int, m: int) -> float:
 # brute-force graph statistics (reachability closures, subset sweeps)
 
 
-def _reach_masks(table: Table, n: int) -> list[int]:
-    """reach[v] = bitmask of vertices reachable from v, including v."""
-    reach = [0] * n
-    for v in range(n):
-        seen = 1 << v
-        todo = [v]
-        while todo:
-            w = todo.pop()
-            for u in table[w]:
-                bit = 1 << u
-                if not seen & bit:
-                    seen |= bit
-                    todo.append(u)
-        reach[v] = seen
-    return reach
+def _bfs(adj: Table | Mapping[int, Sequence[int]], r: int) -> dict[int, int]:
+    """{vertex: arc distance from r} for every vertex reachable from r, r included."""
+    dist = {r: 0}
+    frontier = [r]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in adj[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+def _row_masks(table: Table) -> list[int]:
+    """row_mask[v] = bitmask of the out-neighbours of v."""
+    return [sum({1 << u for u in row}) for row in table]
+
+
+def _closed_surjective_masks(row_mask: Sequence[int]) -> list[int]:
+    """Every nonempty vertex bitmask S that is closed (no arc leaves S) and
+    covered (every member of S has an in-arc from S), in increasing order."""
+    out = []
+    for s_mask in range(1, 1 << len(row_mask)):
+        covered = 0
+        bits = s_mask
+        while bits:
+            low = bits & -bits
+            rm = row_mask[low.bit_length() - 1]
+            if rm & ~s_mask:
+                break
+            covered |= rm
+            bits ^= low
+        else:
+            if covered & s_mask == s_mask:
+                out.append(s_mask)
+    return out
 
 
 def brute_scc_sets(table: Table) -> list[frozenset[int]]:
     """Strongly connected components via mutual reachability."""
     n = len(table)
-    reach = _reach_masks(table, n)
+    reach = [sum([1 << u for u in _bfs(table, v)]) for v in range(n)]
     comp_of: dict[int, int] = {}
     comps: list[set[int]] = []
     for v in range(n):
@@ -229,28 +260,10 @@ def brute_k_surjection_sets(table: Table) -> list[frozenset[int]]:
     n = len(table)
     if n > _BRUTE_MAX_N:
         raise ValueError(f"subset sweep limited to n <= {_BRUTE_MAX_N}, got {n}")
-    row_mask = [0] * n
-    for v in range(n):
-        m = 0
-        for u in table[v]:
-            m |= 1 << u
-        row_mask[v] = m
-    out: list[frozenset[int]] = []
-    for s_mask in range(1, 1 << n):
-        covered = 0
-        closed = True
-        bits = s_mask
-        while bits:
-            low = bits & -bits
-            rm = row_mask[low.bit_length() - 1]
-            if rm & ~s_mask:
-                closed = False
-                break
-            covered |= rm
-            bits ^= low
-        if closed and covered & s_mask == s_mask:
-            out.append(frozenset(i for i in range(n) if (s_mask >> i) & 1))
-    return out
+    return [
+        frozenset(i for i in range(n) if (s_mask >> i) & 1)
+        for s_mask in _closed_surjective_masks(_row_masks(table))
+    ]
 
 
 def brute_one_in_core(table: Table) -> frozenset[int]:
@@ -289,39 +302,13 @@ def brute_cycles(table: Table, within: Iterable[int] | None = None) -> list[tupl
 def brute_spectrum_sizes(table: Table, within: Iterable[int] | None = None) -> dict[int, int]:
     """|set reachable from v| (v included) inside the induced subgraph."""
     adj, verts = _restrict(table, within)
-    sizes: dict[int, int] = {}
-    for r in verts:
-        seen = {r}
-        todo = [r]
-        while todo:
-            v = todo.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        sizes[r] = len(seen)
-    return sizes
+    return {r: len(_bfs(adj, r)) for r in verts}
 
 
 def brute_eccentricities(table: Table, within: Iterable[int] | None = None) -> dict[int, int]:
     """Per vertex v, the largest finite BFS distance from v, induced subgraph."""
     adj, verts = _restrict(table, within)
-    eccs: dict[int, int] = {}
-    for r in verts:
-        dist = {r: 0}
-        frontier = [r]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for u in adj[v]:
-                    if u not in dist:
-                        dist[u] = d
-                        nxt.append(u)
-            frontier = nxt
-        eccs[r] = max(dist.values())
-    return eccs
+    return {r: max(_bfs(adj, r).values()) for r in verts}
 
 
 def brute_max_eccentricity(table: Table, within: Iterable[int] | None = None) -> int:
@@ -331,17 +318,7 @@ def brute_max_eccentricity(table: Table, within: Iterable[int] | None = None) ->
 
 def brute_distance(table: Table, src: int, dst: int) -> int | None:
     """Arc distance src -> dst by plain BFS, or None when dst is unreachable."""
-    dist = {src: 0}
-    frontier = [src]
-    while frontier and dst not in dist:
-        nxt = []
-        for v in frontier:
-            for u in table[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist.get(dst)
+    return _bfs(table, src).get(dst)
 
 
 def brute_longest_path(table: Table, within: Iterable[int] | None = None) -> int:
@@ -387,51 +364,26 @@ def enumerate_all(
     optional ``visitor`` receives each table as a flat tuple (row-major) and
     may tally anything else on top.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _check_int("n", n, 1), _check_int("k", k, 1)
     total = n ** (k * n)
     if total > ENUMERATION_LIMIT:
         raise ValueError(f"n^(kn) = {total} exceeds enumeration limit {ENUMERATION_LIMIT}")
 
     tally = EnumerationTally(n=n, k=k, total=total)
-    full_mask = (1 << n) - 1
     all_vertices = frozenset(range(n))
-    subset_sizes = [m.bit_count() for m in range(1 << n)]
-
     for flat in product(range(n), repeat=n * k):
-        row_mask = [0] * n
-        simple = True
-        for v in range(n):
-            seg = flat[v * k : (v + 1) * k]
-            m = 0
-            for u in seg:
-                m |= 1 << u
-            row_mask[v] = m
-            if simple and ((m >> v) & 1 or subset_sizes[m] != k):
-                simple = False
-        if simple:
+        table = tuple(flat[v * k : (v + 1) * k] for v in range(n))
+        row_mask = _row_masks(table)
+        if all(not (m >> v) & 1 and m.bit_count() == k for v, m in enumerate(row_mask)):
             tally.simple_count += 1
 
         # one subset sweep: k-surjection tally by size + one-in-core as union
         q_mask = 0
-        for s_mask in range(1, 1 << n):
-            covered = 0
-            bits = s_mask
-            closed = True
-            while bits:
-                low = bits & -bits
-                rm = row_mask[low.bit_length() - 1]
-                if rm & ~s_mask:
-                    closed = False
-                    break
-                covered |= rm
-                bits ^= low
-            if closed and covered & s_mask == s_mask:
-                tally.ksurj_counts[subset_sizes[s_mask]] += 1
-                q_mask |= s_mask
-        tally.q_size_hist[subset_sizes[q_mask]] += 1
+        for s_mask in _closed_surjective_masks(row_mask):
+            tally.ksurj_counts[s_mask.bit_count()] += 1
+            q_mask |= s_mask
+        tally.q_size_hist[q_mask.bit_count()] += 1
 
-        table = tuple(flat[v * k : (v + 1) * k] for v in range(n))
         giant = brute_giant(table)
         tally.g_size_hist[len(giant)] += 1
         tally.cycle_count_hist[len(brute_cycles(table, all_vertices - giant))] += 1

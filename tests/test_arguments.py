@@ -17,6 +17,17 @@ from kout.constants import derive_constants, solve_tau
 from kout.digraph import KOutDigraph, RngSpec, generate, generate_simple
 from kout.distance import phase_sweep, typical_distance
 from kout.harness import ExperimentConfig
+from kout.oracle import (
+    enumerate_all,
+    expected_k_surjections,
+    good_log_stirling,
+    gw_bound,
+    gw_bound_survival,
+    gw_extinction,
+    gw_survival,
+    stirling2,
+    surjection_count,
+)
 from kout.surjection import sample_surjection
 
 G = generate(50, 2, RngSpec(1))
@@ -56,6 +67,25 @@ ENTRY_POINTS = {
     "solve_tau.k": ("k", 2, 3, solve_tau),
     "derive_constants.k": ("k", 2, 3, derive_constants),
     "kout surjection --count": ("count", 1, 2, _surjection_cli),
+    "stirling2.x": ("x", 0, 6, lambda v: stirling2(v, 3)),
+    "stirling2.y": ("y", 0, 3, lambda v: stirling2(6, v)),
+    "surjection_count.m": ("m", 1, 3, lambda v: surjection_count(v, 2)),
+    "surjection_count.k": ("k", 1, 2, lambda v: surjection_count(3, v)),
+    "expected_k_surjections.n": ("n", 1, 5, lambda v: expected_k_surjections(v, 2, 2)),
+    "expected_k_surjections.s": ("s", 1, 2, lambda v: expected_k_surjections(5, v, 2)),
+    "expected_k_surjections.k": ("k", 1, 2, lambda v: expected_k_surjections(5, 2, v)),
+    "good_log_stirling.s": ("s", 1, 3, lambda v: good_log_stirling(v, 2, 1.6)),
+    "good_log_stirling.k": ("k", 2, 2, lambda v: good_log_stirling(3, v, 1.6)),
+    "gw_extinction.k": ("k", 1, 2, lambda v: gw_extinction(0.2, v, 3)),
+    "gw_extinction.m": ("m", 0, 3, lambda v: gw_extinction(0.2, 2, v)),
+    "gw_survival.k": ("k", 1, 2, lambda v: gw_survival(0.2, v, 3)),
+    "gw_survival.m": ("m", 0, 3, lambda v: gw_survival(0.2, 2, v)),
+    "gw_bound.k": ("k", 1, 2, lambda v: gw_bound(0.1, v, 3)),
+    "gw_bound.m": ("m", 1, 3, lambda v: gw_bound(0.1, 2, v)),
+    "gw_bound_survival.k": ("k", 1, 2, lambda v: gw_bound_survival(0.1, v, 3)),
+    "gw_bound_survival.m": ("m", 1, 3, lambda v: gw_bound_survival(0.1, 2, v)),
+    "enumerate_all.n": ("n", 1, 2, lambda v: enumerate_all(v, 1)),
+    "enumerate_all.k": ("k", 1, 1, lambda v: enumerate_all(2, v)),
 }
 
 
@@ -112,10 +142,13 @@ def test_numpy_integers_are_accepted(entry, capsys):
         (lambda: phase_sweep(20, 2.0, 3, 2, R), "k_min must be an integer, got 2.0"),
         (lambda: phase_sweep(20, 2, 3, 2.0, R), "reps must be an integer, got 2.0"),
         (lambda: solve_tau(2.0), "k must be an integer, got 2.0"),
+        (lambda: gw_extinction(0.2, 2.5, 3), "k must be an integer, got 2.5"),
+        (lambda: good_log_stirling(3, 2.5, 1.6), "k must be an integer, got 2.5"),
     ],
     ids=[
         "surjection-float-m", "surjection-bool-m", "generate", "generate_simple",
         "typical_distance", "phase_sweep-k_min", "phase_sweep-reps", "solve_tau",
+        "gw_extinction-k", "good_log_stirling-k",
     ],
 )
 def test_reported_calls_fail_fast(call, message, no_sampling):
@@ -132,3 +165,18 @@ def test_constants_store_a_plain_int_k():
     assert type(c.k) is int
     assert c == derive_constants(2)
     assert solve_tau(np.int64(2)) == solve_tau(2)
+
+
+def test_cached_constants_are_not_served_to_a_float_k():
+    derive_constants.cache_clear()
+    derive_constants(np.int64(2))
+    with pytest.raises(ValueError) as exc:
+        derive_constants(2.0)
+    assert str(exc.value) == "k must be an integer, got 2.0"
+
+
+def test_numpy_sizes_keep_exact_integer_arithmetic():
+    # n^(ks) = 9^27 wraps in int64; the checked value is a plain int
+    assert expected_k_surjections(np.int64(9), np.int64(9), np.int64(3)) == (
+        expected_k_surjections(9, 9, 3)
+    )

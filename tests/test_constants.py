@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from kout import constants
 from kout.constants import derive_constants, f_func, g_func, h_func, solve_tau
 
 
@@ -51,6 +52,17 @@ def test_solve_tau_rejects_bad_inputs():
         solve_tau(1)
     with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
         solve_tau(2.0)  # type: ignore[arg-type]
+
+
+def test_unconverged_tau_is_refused(monkeypatch):
+    monkeypatch.setattr(constants, "_solve_eps", lambda k: 0.3)
+    derive_constants.cache_clear()
+    try:
+        for call in (derive_constants, solve_tau):
+            with pytest.raises(ArithmeticError, match=r"^tau solver failed to converge for k=2$"):
+                call(2)
+    finally:
+        derive_constants.cache_clear()
 
 
 def test_derived_constants_k2_frozen_values():

@@ -205,6 +205,32 @@ def test_enumerate_simple_and_ksurj_all_tiny_sizes():
         assert sum(tally.g_size_hist.values()) == tally.total
 
 
+# Every tally field, recorded before the oracle's BFS and subset sweep were
+# folded into shared helpers; (3, 2) is pinned by the CLI golden record.
+PINNED_TALLIES = {
+    (2, 2): (16, 0, {1: 2, 2: 14}, {1: 7, 2: 9}, {1: 8, 2: 14}, {0: 11, 1: 5}),
+    (3, 1): (
+        27, 8, {1: 9, 2: 12, 3: 6}, {1: 16, 2: 9, 3: 2}, {1: 27, 2: 18, 3: 6},
+        {0: 17, 1: 9, 2: 1},
+    ),
+    (2, 3): (64, 0, {1: 2, 2: 62}, {1: 15, 2: 49}, {1: 16, 2: 62}, {0: 51, 1: 13}),
+    (4, 1): (
+        256, 81, {1: 64, 2: 96, 3: 72, 4: 24}, {1: 125, 2: 93, 3: 32, 4: 6},
+        {1: 256, 2: 192, 3: 96, 4: 24}, {0: 142, 1: 95, 2: 18, 3: 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("n, k", PINNED_TALLIES)
+def test_enumerate_pinned_tallies(n, k):
+    tally = enumerate_all(n, k)
+    got = (
+        tally.total, tally.simple_count, tally.q_size_hist, tally.g_size_hist,
+        tally.ksurj_counts, tally.cycle_count_hist,
+    )
+    assert got == PINNED_TALLIES[n, k]
+
+
 def test_enumerate_visitor_sees_all():
     seen = []
     enumerate_all(2, 1, visitor=seen.append)
