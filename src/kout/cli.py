@@ -5,11 +5,12 @@ oracle (enumerate | stirling | gw), montecarlo.  Every subcommand exits 0 on
 success and reports a failure in one line on stderr, ``"{label}: {message}"``,
 with the exit code of the first matching row of ``_FAILURES``: 5 for an
 invalid ``KOUT_THREADS``; 2 for a rejected argument value, flag combination
-or input file (a ``ValueError``, e.g. ``--pairs 0``, ``--count 0``, or
-``analyze`` without ``--in`` or a full ``--n/--k/--seed``), as argparse does
-for a malformed flag, and for an invariant violation under ``montecarlo
---validate`` (``invariant violation: replicate i: ...``); 3 for an I/O
-error; 4 when an exact search outside the giant or a rejection sampler
+or input file (a ``ValueError``, e.g. ``--pairs 0``, ``--count 0``,
+``analyze`` without ``--in`` or a full ``--n/--k/--seed``, or ``montecarlo``
+without ``--out`` at ``--k 1`` or ``--reps 1``, which would print nothing),
+as argparse does for a malformed flag, and for an invariant violation under
+``montecarlo --validate`` (``invariant violation: replicate i: ...``); 3 for
+an I/O error; 4 when an exact search outside the giant or a rejection sampler
 exceeds its cap.  Any other exception propagates with its traceback.
 """
 
@@ -222,6 +223,9 @@ def _cmd_montecarlo(args) -> int:
         collect=harness.COLLECT_GROUPS if args.collect == "all" else frozenset({args.collect}),
         validate=args.validate,
     )
+    if not args.out and (args.k < 2 or args.reps < 2):
+        # without --out the summary is the only output, and it needs both
+        raise ValueError("montecarlo without --out needs --k >= 2 and --reps >= 2")
     records = harness.run_experiment(config)
     if args.out:
         if args.format == "csv":

@@ -39,6 +39,14 @@ The vertices outside F, with their CSR, ids and heights, are the view outside
 the giant whenever F is the giant.  Otherwise (F is not one SCC, or a larger
 closed SCC lies elsewhere) the same steps run once more with the giant as the
 sink.
+
+Vertex, arc and component ids are stored in the index dtype of
+``_index_dtype``: int32 when 2**16 <= n * k < 2**31, which cuts the peak
+memory of a large replicate by about a quarter, else int64.  int32 is a storage type only: every pair key ``a * m + b``
+is int64 (it wraps in 32 bits once m > 46,341), and so are the counters the
+peels lower.  Large selections use ``ndarray.compress``, several times faster
+than a boolean-mask index; ``_distinct`` keeps the mask, which costs less on
+the few elements of a pair search.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cs_connected_components
 
-from .digraph import KOutDigraph, _indegree, _reverse_csr
+from .digraph import KOutDigraph, _index_dtype, _indegree, _reverse_tails, _row_pointers
 
 __all__ = [
     "Decomposition",
@@ -71,11 +79,11 @@ class OutsideView:
     are the host's with the giant's removed: ids by (height, smallest label),
     heights counting arcs into the giant, a sink of height 0."""
 
-    vertices: np.ndarray  # sorted original ids
-    indptr: np.ndarray  # (size + 1,) CSR row pointers over local ids
-    indices: np.ndarray  # local endpoints of arcs staying outside (with multiplicity)
-    comp: np.ndarray  # (size,) canonical SCC id per local vertex
-    height: np.ndarray  # per SCC id, its height in the host, nondecreasing
+    vertices: np.ndarray  # sorted original ids (index dtype)
+    indptr: np.ndarray  # (size + 1,) int64 CSR row pointers over local ids
+    indices: np.ndarray  # local heads of arcs staying outside, repeats kept (index dtype)
+    comp: np.ndarray  # (size,) canonical SCC id per local vertex (index dtype)
+    height: np.ndarray  # per SCC id, its height in the host, nondecreasing (int32)
 
     @property
     def size(self) -> int:
@@ -92,10 +100,11 @@ class OutsideView:
 
 @dataclass
 class Decomposition:
-    """The full structural decomposition of one digraph."""
+    """The full structural decomposition of one digraph.  Its id arrays are
+    stored in the index dtype (``_index_dtype``): int32 on large tables."""
 
     scc_id: np.ndarray  # (n,) component id per vertex, reverse-topo numbering
-    height: np.ndarray  # (n_scc,) longest condensation path to a sink, nondecreasing
+    height: np.ndarray  # (n_scc,) int32 longest path to a sink, nondecreasing
     giant: np.ndarray  # sorted vertex ids of the largest closed SCC
     one_in_core: np.ndarray  # sorted vertex ids surviving in-degree-0 peeling
     all_reach_giant: bool
@@ -117,9 +126,12 @@ class Decomposition:
 
 def _indptr(rows: np.ndarray, nrows: int) -> np.ndarray:
     """Row pointers for entries whose (sorted) row ids are ``rows``."""
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-    return indptr
+    return _row_pointers(np.bincount(rows, minlength=nrows))
+
+
+def _members(mask: np.ndarray, dtype) -> np.ndarray:
+    """Sorted positions of the True entries of ``mask``, stored as ``dtype``."""
+    return np.arange(mask.size, dtype=dtype).compress(mask)
 
 
 def _dense_csr(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +180,10 @@ def _quotient(
     indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray, nlabels: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the deduplicated arcs between distinct labels, rows sorted."""
-    src = np.repeat(labels, np.diff(indptr))
+    src = np.repeat(labels.astype(np.int64), np.diff(indptr))
     dst = labels[indices]
     ext = src != dst
-    keys = _distinct(src[ext] * nlabels + dst[ext])
+    keys = _distinct(src.compress(ext) * nlabels + dst.compress(ext))
     return _indptr(keys // nlabels, nlabels), keys % nlabels
 
 
@@ -180,18 +192,19 @@ def _peel(
 ) -> np.ndarray:
     """Level-synchronous peel: round 0 deletes every node of ``deg`` 0, and
     deleting node x lowers ``deg`` once per entry of ``rows_of([x])``.
-    Returns the round in which each node went, -1 for the survivors.  Each
-    round lowers ``deg`` in place and deduplicates only the nodes that reach
-    0, which beats counting every hit first (``np.unique`` or sort + mask)."""
-    deg = deg.copy()
-    level = np.full(deg.size, -1, dtype=np.int64)
+    Returns the round in which each node went, -1 for the survivors, as
+    int32.  Each round lowers ``deg`` in place (the caller's array: every
+    caller hands over a count it no longer needs) and deduplicates only the
+    nodes that reach 0, which beats counting every hit first (``np.unique``
+    or sort + mask)."""
+    level = np.full(deg.size, -1, dtype=np.int32)
     frontier = np.flatnonzero(deg == 0)
     depth = 0
     while frontier.size:
         level[frontier] = depth
         hit = rows_of(frontier)
         np.subtract.at(deg, hit, 1)
-        frontier = _distinct(hit[deg[hit] == 0])
+        frontier = _distinct(hit.compress(deg[hit] == 0))
         depth += 1
     return level
 
@@ -206,7 +219,7 @@ def _sweep(
     frontier = np.array([v])
     while frontier.size:
         hit = rows_of(frontier)
-        frontier = _distinct(hit[~seen[hit]])
+        frontier = _distinct(hit.compress(~seen[hit]))
         seen[frontier] = True
     return seen
 
@@ -214,19 +227,21 @@ def _sweep(
 def _induced(endpoints: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the subgraph induced on the sorted vertices ``verts``,
     relabelled 0 .. verts.size - 1; arcs leaving ``verts`` are dropped."""
-    local_of = np.full(endpoints.shape[0], -1, dtype=np.int64)
+    local_of = np.full(endpoints.shape[0], -1, dtype=_index_dtype(*endpoints.shape))
     local_of[verts] = np.arange(verts.size)
     local = local_of[endpoints.take(verts, axis=0)]
     stays = local >= 0
-    indptr = np.zeros(verts.size + 1, dtype=np.int64)
-    np.cumsum(stays.sum(axis=1), out=indptr[1:])
-    return indptr, local[stays]
+    return _row_pointers(stays.sum(axis=1)), local.ravel().compress(stays.ravel())
 
 
-def _rest(endpoints: np.ndarray, core: np.ndarray, sink: np.ndarray) -> OutsideView:
+def _rest(
+    endpoints: np.ndarray, core: np.ndarray | None, sink: np.ndarray
+) -> OutsideView:
     """The view outside ``sink``, a closed SCC (or no vertex at all), given
     the one-in-core mask ``core``: components numbered on their own by
-    (height, smallest label), with their heights in the whole digraph.
+    (height, smallest label), with their heights in the whole digraph.  With
+    ``core`` None, a peel of the view finds its vertices in the one-in-core:
+    no arc leaves the sink, so they are the one-in-core of the view itself.
 
     Every cycle lies in the one-in-core, so only its vertices outside the sink
     can share a component, and scipy labels just those (whp a few, once the
@@ -234,13 +249,18 @@ def _rest(endpoints: np.ndarray, core: np.ndarray, sink: np.ndarray) -> OutsideV
     come from one peel over the arcs between distinct components, the sink
     standing in as one extra node of height 0.
     """
-    k = endpoints.shape[1]
-    verts = np.flatnonzero(~sink)
+    n, k = endpoints.shape
+    dtype = _index_dtype(n, k)
+    verts = _members(~sink, dtype)
     m = verts.size
     indptr, indices = _induced(endpoints, verts)
+    if core is None:
+        indeg = np.bincount(indices, minlength=m)
+        inner = np.flatnonzero(_peel(lambda f: _rows(indptr, indices, f), indeg) < 0)
+    else:
+        inner = np.flatnonzero(core[verts])
     outdeg = np.diff(indptr)
     rep = np.arange(m)  # smallest local member of each vertex's component
-    inner = np.flatnonzero(core[verts])
     if inner.size > 1:
         nlabels, labels = _scc_labels(*_induced(endpoints, verts[inner]))
         low = np.full(nlabels, m, dtype=np.int64)
@@ -252,8 +272,8 @@ def _rest(endpoints: np.ndarray, core: np.ndarray, sink: np.ndarray) -> OutsideV
     dst = rep[indices]
     cross = src != dst
     exits = np.flatnonzero(outdeg < k)
-    src = np.concatenate([src[cross], rep[exits]])
-    dst = np.concatenate([dst[cross], np.full(exits.size, m)])
+    src = np.concatenate([src.compress(cross), rep[exits]])
+    dst = np.concatenate([dst.compress(cross), np.full(exits.size, m)])
     preds = np.sort(dst * (m + 1) + src)  # the tails, grouped by head
     p_indptr = _indptr(preds // (m + 1), m + 1)
     preds %= m + 1
@@ -263,16 +283,17 @@ def _rest(endpoints: np.ndarray, core: np.ndarray, sink: np.ndarray) -> OutsideV
     height = level[reps]
     if (height < 0).any():
         raise AssertionError("condensation had a cycle; SCC labels are inconsistent")
-    order = np.argsort(height * m + reps)
-    canon = np.empty(reps.size, dtype=np.int64)
+    order = np.argsort(height.astype(np.int64) * m + reps)
+    canon = np.empty(reps.size, dtype=dtype)
     canon[order] = np.arange(reps.size)
-    index_of = np.zeros(m, dtype=np.int64)
+    index_of = np.zeros(m, dtype=dtype)
     index_of[reps] = np.arange(reps.size)
     return OutsideView(verts, indptr, indices, canon[index_of[rep]], height[order])
 
 
 def _core_mask(endpoints: np.ndarray, indeg: np.ndarray) -> np.ndarray:
-    """One-in-core membership; ``indeg`` is ``_indegree(endpoints)``."""
+    """One-in-core membership; ``indeg`` is ``_indegree(endpoints)``, which
+    the peel lowers in place."""
     return _peel(lambda f: endpoints.take(f, axis=0).ravel(), indeg) < 0
 
 
@@ -321,31 +342,38 @@ def layers(g: KOutDigraph) -> tuple[int, int, int, int, bool]:
 def decompose(g: KOutDigraph) -> Decomposition:
     """Run the whole decomposition once; cheaper than calling the ops separately."""
     endpoints = g.endpoints
+    dtype = _index_dtype(g.n, g.k)
     indeg = _indegree(endpoints)
+    rev_indptr = _row_pointers(indeg, dtype)
     core = _core_mask(endpoints, indeg)
+    del indeg
+    # peak memory: build the reverse CSR and the member lists where the least
+    # freed heap is held, before the closure and before _rest
+    rev_tails = _reverse_tails(endpoints, dtype)
     v = int(np.argmax(core))
     closure = _sweep(lambda f: endpoints.take(f, axis=0).ravel(), np.zeros(g.n, dtype=bool), v)
-    rev_indptr, rev_indices = _reverse_csr(endpoints, indeg)
-    del indeg
-    strong = _sweep(lambda f: _rows(rev_indptr, rev_indices, f), ~closure, v).all()
-    del rev_indptr, rev_indices
+    strong = _sweep(lambda f: _rows(rev_indptr, rev_tails, f), ~closure, v).all()
+    del rev_indptr, rev_tails
+    one_in_core = _members(core, dtype)
     sink = closure if strong else np.zeros(g.n, dtype=bool)
     rest = _rest(endpoints, core, sink)
     # the sink, if any, is component 0: its height is 0, and every other
     # closed component lies in the one-in-core, above its smallest vertex v
     s = int(strong)
-    scc_id = np.zeros(g.n, dtype=np.int64)
+    scc_id = np.zeros(g.n, dtype=dtype)
     scc_id[rest.vertices] = rest.comp + s
-    height = np.concatenate([np.zeros(s, dtype=np.int64), rest.height])
+    height = np.concatenate([np.zeros(s, dtype=rest.height.dtype), rest.height])
     n_closed = int((height == 0).sum())
-    gid = int(np.argmax(np.bincount(scc_id, minlength=n_closed)[:n_closed]))
-    giant = scc_id == gid
+    gid = 0
+    if n_closed > 1:
+        gid = int(np.argmax(np.bincount(scc_id, minlength=n_closed)[:n_closed]))
     # whp the sink is the giant and rest is already the view outside it
+    giant = sink if strong and gid == 0 else scc_id == gid
     return Decomposition(
         scc_id=scc_id,
         height=height,
-        giant=np.flatnonzero(giant),
-        one_in_core=np.flatnonzero(core),
+        giant=_members(giant, dtype),
+        one_in_core=one_in_core,
         all_reach_giant=n_closed == 1,
         view=rest if strong and gid == 0 else _rest(endpoints, core, giant),
     )

@@ -43,13 +43,12 @@ import numpy as np
 from .decompose import (
     Decomposition,
     OutsideView,
-    _core_mask,
     _distinct,
     _rest,
     _rows,
     _scc_labels,
 )
-from .digraph import KOutDigraph, _indegree
+from .digraph import KOutDigraph
 from .errors import ComponentCapError, CycleCapError
 
 __all__ = [
@@ -69,10 +68,11 @@ SCC_SIZE_CAP = 64
 
 
 def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
-    """The view outside ``giant_set``, a closed SCC of g (the giant)."""
+    """The view outside ``giant_set``, a closed SCC of g (the giant).  Its
+    one-in-core comes from a peel of the view alone, not of all n vertices."""
     sink = np.zeros(g.n, dtype=bool)
     sink[giant_set] = True
-    return _rest(g.endpoints, _core_mask(g.endpoints, _indegree(g.endpoints)), sink)
+    return _rest(g.endpoints, None, sink)
 
 
 def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
@@ -235,9 +235,9 @@ def _scan(view: OutsideView) -> _ScanResult:
             keys = _distinct(keys)
             at = np.searchsorted(seen, keys)
             fresh = np.take(seen, at, mode="clip") != keys
-            frontier = keys[fresh]
+            frontier = keys.compress(fresh)
             eccs[frontier // m] = level
-            seen = np.insert(seen, at[fresh], frontier)
+            seen = np.insert(seen, at.compress(fresh), frontier)
         starts = np.searchsorted(seen, block * m)
         sizes[block] = np.diff(starts, append=seen.size)
         excess[block] = np.add.reduceat(outdeg[seen % m], starts) - sizes[block]
@@ -271,8 +271,8 @@ def distance_to_giant(g: KOutDigraph, giant_set: np.ndarray) -> GiantDistances:
         if not hits.any():
             break
         level += 1
-        visited[rest[hits]] = True
-        rest = rest[~hits]
+        visited[rest.compress(hits)] = True
+        rest = rest.compress(~hits)
     return GiantDistances(w=level, unreached=int(rest.size))
 
 
@@ -320,9 +320,10 @@ def longest_path(view: OutsideView) -> int:
         return 0
     src, dst = view.arcs()
     cross = view.comp[src] != view.comp[dst]
-    level = view.height[view.comp[src[cross]]]
+    src, dst = src.compress(cross), dst.compress(cross)
+    level = view.height[view.comp[src]]
     by_level = np.argsort(level, kind="stable")
-    src, dst = src[cross][by_level], dst[cross][by_level]
+    src, dst = src[by_level], dst[by_level]
     top = int(view.height[-1])
     bounds = np.searchsorted(level[by_level], np.arange(top + 2)).tolist()
     nontrivial: dict[int, list[list[int]]] = {}

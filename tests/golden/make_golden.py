@@ -1,6 +1,6 @@
 """Frozen outputs that a refactor of the decomposition must reproduce exactly.
 
-Two records live beside this script:
+Four records live beside this script:
 
 - ``montecarlo_n2000.csv``: the CSV of ``run_experiment(n=2000, k=2, reps=40,
   seed=20260809, collect=all)`` with the wall-time column ``ms_elapsed``
@@ -11,12 +11,17 @@ Two records live beside this script:
   seed whose replicate has a cycle outside the giant and a nonempty middle
   layer, so cycle enumeration and the longest-path search through a
   nontrivial component are both pinned;
+- ``replicate_n300000.json``: the same record at n = 3*10^5 for
+  ``RngSpec(20260809, 0)``, whose replicate also has a cycle outside the
+  giant and a nonempty middle layer.  Its view has about 61,000 vertices,
+  more than 46,341, so a pair key ``a * m + b`` over the view that wrapped
+  in 32 bits would change it;
 - ``cli_stdout.txt``: the stdout of each command in ``CLI_COMMANDS``, run
   through ``kout.cli.main`` in one process with ``KOUT_THREADS=1``, each
   under a ``$ kout ...`` header line; the wall-time line ``"ms_elapsed"`` of
   ``distance --json`` is dropped.
 
-``tests/test_golden.py`` recomputes all three and compares them byte for byte.
+``tests/test_golden.py`` recomputes all four and compares them byte for byte.
 Regenerate (only when a change is meant to alter outputs) from the repository
 root with::
 
@@ -45,9 +50,11 @@ from kout.outside import outside_report
 HERE = Path(__file__).resolve().parent
 CSV_PATH = HERE / "montecarlo_n2000.csv"
 JSON_PATH = HERE / "replicate_n100000.json"
+JSON_300K_PATH = HERE / "replicate_n300000.json"
 CLI_PATH = HERE / "cli_stdout.txt"
 SEED = 20260809
 REPLICATE_STREAM = 8
+REPLICATE_300K_STREAM = 0
 
 CLI_COMMANDS = (
     "constants --k 3",
@@ -84,8 +91,8 @@ def montecarlo_csv() -> str:
     return buf.getvalue()
 
 
-def replicate_json() -> str:
-    g = generate(100_000, 2, RngSpec(SEED, REPLICATE_STREAM))
+def replicate_json(n: int = 100_000, stream: int = REPLICATE_STREAM) -> str:
+    g = generate(n, 2, RngSpec(SEED, stream))
     dec = decompose(g)
     rep = outside_report(g, dec)
     doc = {
@@ -134,5 +141,6 @@ def cli_stdout() -> str:
 if __name__ == "__main__":
     CSV_PATH.write_text(montecarlo_csv(), newline="")
     JSON_PATH.write_text(replicate_json())
+    JSON_300K_PATH.write_text(replicate_json(300_000, REPLICATE_300K_STREAM))
     CLI_PATH.write_text(cli_stdout())
-    print(f"wrote {CSV_PATH.name}, {JSON_PATH.name} and {CLI_PATH.name}")
+    print(f"wrote {CSV_PATH.name}, {JSON_PATH.name}, {JSON_300K_PATH.name} and {CLI_PATH.name}")

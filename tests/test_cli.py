@@ -5,6 +5,7 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -124,6 +125,18 @@ def test_invalid_value_exit_code_other_subcommands(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("invalid input: "), argv
+
+
+@pytest.mark.parametrize("k, reps", [(1, 4), (2, 1)])
+def test_montecarlo_without_out_refuses_a_run_with_no_summary(monkeypatch, capsys, k, reps):
+    # the summary is the only output without --out, and it needs k >= 2 and
+    # two replicates: refuse before the first replicate runs
+    monkeypatch.setattr(harness, "run_experiment", mock.Mock(side_effect=AssertionError))
+    argv = ["montecarlo", "--n", "2000", "--k", str(k), "--reps", str(reps), "--seed", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == "invalid input: montecarlo without --out needs --k >= 2 and --reps >= 2\n"
 
 
 def test_montecarlo_validate_violation_exit_code(monkeypatch, capsys):

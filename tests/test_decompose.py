@@ -222,18 +222,34 @@ def test_decompose_paths_match_brute(rows, sinks, giant_set):
 
 
 def test_decompose_counts_in_degrees_once():
-    # the peel and the reverse CSR share one in-degree count
+    # the reverse CSR's row pointers come from the count, and then the core
+    # peel lowers that same count in place
     g = generate(2000, 2, RngSpec(13, 2))
-    patches = [
-        mock.patch.object(decompose_module, name, wraps=getattr(decompose_module, name))
-        for name in ("_indegree", "_core_mask", "_reverse_csr")
-    ]
-    with patches[0] as count, patches[1] as core, patches[2] as rev:
-        decompose(g)
-    assert count.call_count == core.call_count == rev.call_count == 1
-    indeg = core.call_args.args[1]
-    assert rev.call_args.args[1] is indeg
-    assert np.array_equal(indeg, np.bincount(g.endpoints.ravel(), minlength=g.n))
+    indeg = np.bincount(g.endpoints.ravel(), minlength=g.n)
+    counts, pointers = [], []
+    indegree, row_pointers = decompose_module._indegree, decompose_module._row_pointers
+
+    def count(endpoints):
+        counts.append(indegree(endpoints))
+        return counts[-1]
+
+    def point(counts, dtype=np.int64):
+        pointers.append(row_pointers(counts, dtype))
+        return pointers[-1]
+
+    with (
+        mock.patch.object(decompose_module, "_indegree", side_effect=count),
+        mock.patch.object(decompose_module, "_row_pointers", side_effect=point),
+        mock.patch.object(
+            decompose_module, "_core_mask", wraps=decompose_module._core_mask
+        ) as core,
+    ):
+        d = decompose(g)
+    assert len(counts) == core.call_count == 1
+    assert core.call_args.args[1] is counts[0]
+    # lowered by the peel: only the core keeps in-arcs from survivors
+    assert (counts[0][d.one_in_core] > 0).all() and counts[0].sum() < indeg.sum()
+    assert np.array_equal(pointers[0], np.concatenate([[0], np.cumsum(indeg)]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -246,3 +262,40 @@ def test_scc_labels_on_raw_out_tables_match_brute(k):
         got = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(ncomp))
         want = sorted(tuple(sorted(c)) for c in brute_scc_sets(g.endpoints.tolist()))
         assert got == want
+
+
+def test_decomposition_arrays_are_stored_as_int32():
+    d = decompose(generate(40_000, 2, RngSpec(13, 3)))
+    for name in ("scc_id", "giant", "one_in_core"):
+        assert getattr(d, name).dtype == np.int32, name
+    for name in ("vertices", "indices", "comp"):
+        assert getattr(d.view, name).dtype == np.int32, name
+
+
+@pytest.mark.parametrize("rows", [[(1, 1), (2, 2), (0, 3), (3, 3)], None])
+def test_int32_and_int64_storage_give_the_same_decomposition(rows):
+    # int64 storage at n * k >= 2^31 cannot be allocated in a test, so force
+    # each storage type in turn
+    g = digraph_from_rows(rows) if rows else generate(40_000, 2, RngSpec(13, 4))
+    got = {}
+    for dtype in (np.int32, np.int64):
+        with mock.patch.object(decompose_module, "_index_dtype", return_value=np.dtype(dtype)):
+            got[dtype] = decompose(g)
+        assert got[dtype].scc_id.dtype == got[dtype].giant.dtype == dtype
+    narrow, wide = got[np.int32], got[np.int64]
+    for name in ("scc_id", "height", "giant", "one_in_core"):
+        assert np.array_equal(getattr(wide, name), getattr(narrow, name)), name
+    for name in ("vertices", "indptr", "indices", "comp", "height"):
+        assert np.array_equal(getattr(wide.view, name), getattr(narrow.view, name)), name
+
+
+def test_condense_keys_do_not_wrap_past_46341_components():
+    # int32 component ids: a key id * n_components + id wraps in 32 bits
+    # once there are more than 46,341 components
+    g = generate(300_000, 2, RngSpec(20260809, 0))
+    ids, members = scc(g)
+    assert ids.dtype == np.int32 and len(members) > 46_341
+    adjacency, closed = condense(g, (ids, members))
+    want, want_closed = condense(g, (ids.astype(np.int64), members))
+    assert np.array_equal(closed, want_closed)
+    assert all(np.array_equal(a, b) for a, b in zip(adjacency, want))

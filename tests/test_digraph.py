@@ -22,7 +22,8 @@ from kout.digraph import (
     is_simple,
     serialize,
     _indegree,
-    _reverse_csr,
+    _reverse_tails,
+    _row_pointers,
 )
 from kout.errors import DigraphFormatError, RejectionLimitError
 
@@ -113,16 +114,30 @@ def _tables():
 )
 def test_reverse_csr_matches_scipy_csc(endpoints):
     n, k = endpoints.shape
-    indptr, tails = _reverse_csr(endpoints, _indegree(endpoints))
+    indptr = _row_pointers(_indegree(endpoints))
     # column v of the table's CSC lists the tails of v's in-arcs, ascending
     csc = csr_matrix(
         (np.ones(n * k, dtype=np.int8), endpoints.ravel(), np.arange(0, n * k + 1, k)),
         shape=(n, n),
     ).tocsc()
     assert np.array_equal(indptr, csc.indptr)
-    assert np.array_equal(tails, csc.indices)
+    for dtype in (np.int32, np.int64):
+        tails = _reverse_tails(endpoints, dtype)
+        assert tails.dtype == dtype
+        assert np.array_equal(tails, csc.indices)
     g_indptr, g_tails = KOutDigraph(n, k, endpoints).reverse_csr
     assert np.array_equal(g_indptr, indptr) and np.array_equal(g_tails, tails)
+    # the pair search gathers through these on every step: int64, not int32
+    assert g_indptr.dtype == g_tails.dtype == np.int64
+
+
+def test_index_dtype_is_int32_on_large_tables_while_every_arc_index_fits():
+    assert digraph._index_dtype(2**15 - 1, 2) == np.int64
+    assert digraph._index_dtype(2**15, 2) == np.int32
+    assert digraph._index_dtype(10**6, 2) == np.int32
+    assert digraph._index_dtype(2**30 - 1, 2) == np.int32
+    assert digraph._index_dtype(2**30, 2) == np.int64
+    assert digraph._index_dtype(2**31, 1) == np.int64
 
 
 def test_indegree_mean():

@@ -24,6 +24,14 @@ def test_golden_replicate_n100000():
     assert make_golden.replicate_json().encode() == want
 
 
+def test_golden_replicate_n300000():
+    # the view outside the giant has about 61,000 vertices, so every pair key
+    # over it must stay 64-bit
+    want = make_golden.JSON_300K_PATH.read_bytes()
+    got = make_golden.replicate_json(300_000, make_golden.REPLICATE_300K_STREAM)
+    assert got.encode() == want
+
+
 def test_golden_cli_stdout():
     want = make_golden.CLI_PATH.read_bytes()
     assert make_golden.cli_stdout().encode() == want

@@ -383,12 +383,15 @@ def test_one_scc_pass_per_replicate_on_the_core_outside_the_giant():
 
 def assert_same_view(a, b):
     for field in ("vertices", "indptr", "indices", "comp", "height"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
 
 
 @settings(max_examples=80)
 @given(endpoint_tables(max_n=10, max_k=3))
 def test_report_view_equals_outside_view(rows):
+    # decompose takes the view's core from its peel of all n vertices, and
+    # outside_view from a peel of the view alone
     g = digraph_from_rows(rows)
     d = decompose(g)
     assert_same_view(d.view, outside_view(g, d.giant))
