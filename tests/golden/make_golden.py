@@ -1,6 +1,6 @@
 """Frozen outputs that a refactor of the decomposition must reproduce exactly.
 
-Four records live beside this script:
+Five records live beside this script:
 
 - ``montecarlo_n2000.csv``: the CSV of ``run_experiment(n=2000, k=2, reps=40,
   seed=20260809, collect=all)`` with the wall-time column ``ms_elapsed``
@@ -46,15 +46,20 @@ from kout.decompose import decompose
 from kout.digraph import RngSpec, generate
 from kout.harness import CSV_COLUMNS, ExperimentConfig, _cell, run_experiment
 from kout.outside import outside_report
+from kout.surjection import sample_surjection
 
 HERE = Path(__file__).resolve().parent
 CSV_PATH = HERE / "montecarlo_n2000.csv"
 JSON_PATH = HERE / "replicate_n100000.json"
 JSON_300K_PATH = HERE / "replicate_n300000.json"
 CLI_PATH = HERE / "cli_stdout.txt"
+SURJECTION_PATH = HERE / "surjection_draws.json"
 SEED = 20260809
 REPLICATE_STREAM = 8
 REPLICATE_300K_STREAM = 0
+SURJECTION_MS = (1, 2, 5, 30, 100, 1000)
+SURJECTION_KS = (2, 3)
+SURJECTION_STREAMS = (0, 1, 2, 3, 4)
 
 CLI_COMMANDS = (
     "constants --k 3",
@@ -138,9 +143,30 @@ def cli_stdout() -> str:
     return out.getvalue()
 
 
+def surjection_json() -> str:
+    draws = []
+    for m in SURJECTION_MS:
+        for k in SURJECTION_KS:
+            for stream in SURJECTION_STREAMS:
+                s = sample_surjection(m, k, RngSpec(SEED, stream))
+                raw = np.asarray(s.mapping, dtype="<i8").tobytes() + str(s.retries).encode()
+                draws.append(
+                    {
+                        "m": m,
+                        "k": k,
+                        "stream": stream,
+                        "retries": s.retries,
+                        "sha256": hashlib.sha256(raw).hexdigest(),
+                    }
+                )
+    return json.dumps({"seed": SEED, "draws": draws}, indent=1) + "\n"
+
+
 if __name__ == "__main__":
     CSV_PATH.write_text(montecarlo_csv(), newline="")
     JSON_PATH.write_text(replicate_json())
     JSON_300K_PATH.write_text(replicate_json(300_000, REPLICATE_300K_STREAM))
     CLI_PATH.write_text(cli_stdout())
-    print(f"wrote {CSV_PATH.name}, {JSON_PATH.name}, {JSON_300K_PATH.name} and {CLI_PATH.name}")
+    SURJECTION_PATH.write_text(surjection_json())
+    written = (CSV_PATH, JSON_PATH, JSON_300K_PATH, CLI_PATH, SURJECTION_PATH)
+    print("wrote " + ", ".join(p.name for p in written))

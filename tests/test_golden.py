@@ -35,3 +35,9 @@ def test_golden_replicate_n300000():
 def test_golden_cli_stdout():
     want = make_golden.CLI_PATH.read_bytes()
     assert make_golden.cli_stdout().encode() == want
+
+
+def test_golden_surjection_draws():
+    # which attempt is accepted, and the table it gives, for every (m, k, stream)
+    want = make_golden.SURJECTION_PATH.read_bytes()
+    assert make_golden.surjection_json().encode() == want
