@@ -26,6 +26,8 @@ closed, so every other SCC lies outside it, and every cycle lies in the
 one-in-core, so only the core vertices outside F can share a component.
 ``scipy.sparse.csgraph`` labels just those, whp a few vertices; three in
 four replicates at n = 2*10^4 have fewer than two and make no call.
+scipy is imported on the first such call (``_csgraph``), so a command that
+never labels an SCC does not pay for loading it.
 When F is not one SCC (at small n, or when the largest SCC reaches an
 absorbing vertex), the same steps run without F, and scipy labels the whole
 one-in-core.  Heights come from one peel over the arcs between distinct
@@ -55,8 +57,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cs_connected_components
 
 from .digraph import KOutDigraph, _index_dtype, _indegree, _reverse_tails, _row_pointers
 
@@ -161,9 +161,21 @@ def _split(values: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def _csgraph():
+    """scipy's ``csr_matrix`` and ``connected_components``, imported on the
+    first call: most commands never label an SCC, and importing scipy would
+    cost them about 0.25 s and 30 MB.  ``run_experiment`` calls it before it
+    forks its pool, so the workers inherit the loaded modules."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    return csr_matrix, connected_components
+
+
 def _scc_labels(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, np.ndarray]:
     """(number of SCCs, arbitrary SCC label per vertex) of a CSR digraph."""
     n = indptr.size - 1
+    csr_matrix, connected_components = _csgraph()
     # int8 data is load-bearing: scipy converts it to float64 and so tidies a
     # copy (sorted rows, parallel arcs summed).  Handed float64 data directly,
     # it skips that step, and on our unsorted rows with parallel arcs its SCC
@@ -172,7 +184,7 @@ def _scc_labels(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, np.ndarra
     mat = csr_matrix(
         (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n)
     )
-    ncomp, labels = _cs_connected_components(mat, directed=True, connection="strong")
+    ncomp, labels = connected_components(mat, directed=True, connection="strong")
     return int(ncomp), labels.astype(np.int64)
 
 

@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .constants import ModelConstants
-from .decompose import decompose
+from .decompose import _csgraph, decompose
 from .digraph import RngSpec, _check_int, count_multi_pairs, count_self_loops, generate
 from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
 from .outside import FULL_COLLECT, outside_report
@@ -207,13 +207,19 @@ def _validate_record(g, dec, record: ReplicateRecord, cycles) -> None:
 
 
 def default_workers() -> int:
-    """``KOUT_THREADS`` when set (a positive integer), else min(cpu count, 8)."""
+    """``KOUT_THREADS`` when set (a positive integer), else min(usable CPUs, 8):
+    the CPUs this process may run on where the platform reports its affinity
+    (``taskset``, a cpuset container), else the machine's CPU count."""
     env = os.environ.get("KOUT_THREADS")
     if env:
         if not env.strip().isdecimal() or int(env) < 1:
             raise SettingError("KOUT_THREADS", env, "a positive integer")
         return int(env)
-    return min(os.cpu_count() or 1, 8)
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(usable, 8)
 
 
 def run_experiment(
@@ -226,6 +232,7 @@ def run_experiment(
     if workers <= 1 or config.reps == 1:
         return [run_replicate(config, i) for i in indices]
     chunk = max(1, config.reps // (workers * 8))
+    _csgraph()  # load scipy once here, not in every forked worker
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_replicate, repeat(config), indices, chunksize=chunk))
 

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -299,3 +303,56 @@ def test_condense_keys_do_not_wrap_past_46341_components():
     want, want_closed = condense(g, (ids.astype(np.int64), members))
     assert np.array_equal(closed, want_closed)
     assert all(np.array_equal(a, b) for a, b in zip(adjacency, want))
+
+
+# scipy is loaded lazily, on the first SCC labelling.  This test process has
+# imported it already, so each check runs in a fresh interpreter.
+_FRESH_PRELUDE = """
+import sys
+import kout, kout.cli
+from kout import cli, oracle
+from kout.constants import derive_constants
+from kout.digraph import RngSpec, generate
+from kout.distance import typical_distance
+from kout.harness import ExperimentConfig, run_experiment
+from kout.surjection import sample_surjection
+"""
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(decompose_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _FRESH_PRELUDE + code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "generate(2000, 2, RngSpec(1, 0))",
+        "typical_distance(generate(2000, 2, RngSpec(1, 0)), 20, RngSpec(1, 1))",
+        "sample_surjection(100, 2, RngSpec(1, 0))",
+        "derive_constants(2)",
+        "oracle.enumerate_all(2, 2)",
+        'cli.main(["constants", "--k", "2"])',
+    ],
+)
+def test_calls_that_label_no_scc_leave_scipy_unloaded(call):
+    proc = _run_fresh(
+        f"{call}\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_run_experiment_loads_scipy_before_forking_its_pool():
+    # the workers inherit the loaded modules instead of each importing scipy
+    proc = _run_fresh(
+        "run_experiment(ExperimentConfig(n=50, k=2, reps=4, seed=1), workers=2)\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"

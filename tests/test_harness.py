@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -350,3 +351,14 @@ def test_kout_threads_rejects_non_positive_integers(monkeypatch, value):
     with pytest.raises(SettingError) as info:
         default_workers()
     assert "KOUT_THREADS" in str(info.value) and repr(value) in str(info.value)
+
+
+def test_default_workers_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("KOUT_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert default_workers() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)), raising=False)
+    assert default_workers() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 8
