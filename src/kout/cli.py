@@ -34,24 +34,17 @@ from .surjection import sample_surjection
 __all__ = ["main"]
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+def _tolist(obj):
+    """``json.dump`` hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict, as_json: bool, keys=None) -> None:
     """Print ``payload`` as JSON, or one ``key = value`` line per key (all by default)."""
     if as_json:
-        json.dump(_jsonable(payload), sys.stdout, indent=1)
+        json.dump(payload, sys.stdout, indent=1, default=_tolist)
         sys.stdout.write("\n")
     else:
         for key in payload if keys is None else keys:
@@ -319,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
-        "--collect", choices=("all", "core", "cycles", "distances"), default="all"
+        "--collect", choices=("all", *sorted(harness.COLLECT_GROUPS)), default="all"
     )
     p.add_argument("--validate", action="store_true")
     p.set_defaults(func=_cmd_montecarlo)

@@ -170,17 +170,6 @@ def generate(n: int, k: int, rng: RngSpec) -> KOutDigraph:
     return KOutDigraph(n, k, _random_endpoints(n, k, rng.generator()))
 
 
-def _rows_simple(endpoints: np.ndarray) -> bool:
-    n, k = endpoints.shape
-    if (endpoints == np.arange(n)[:, None]).any():
-        return False
-    if k > 1:
-        srt = np.sort(endpoints, axis=1)
-        if (srt[:, 1:] == srt[:, :-1]).any():
-            return False
-    return True
-
-
 def generate_simple(n: int, k: int, rng: RngSpec) -> tuple[KOutDigraph, int]:
     """Rejection-sample a digraph with no self-loops or repeated row entries.
 
@@ -192,9 +181,9 @@ def generate_simple(n: int, k: int, rng: RngSpec) -> tuple[KOutDigraph, int]:
     _check_int("n", n, k + 1)  # a simple row needs k endpoints other than v
     gen = rng.generator()
     for attempt in range(1, SIMPLE_ATTEMPT_CAP + 1):
-        ep = _random_endpoints(n, k, gen)
-        if _rows_simple(ep):
-            return KOutDigraph(n, k, ep), attempt
+        g = KOutDigraph(n, k, _random_endpoints(n, k, gen))
+        if is_simple(g):
+            return g, attempt
     raise RejectionLimitError(
         f"no simple digraph with n={n}, k={k}", attempts=SIMPLE_ATTEMPT_CAP
     )
@@ -215,7 +204,7 @@ def count_multi_pairs(g: KOutDigraph) -> int:
 
 
 def is_simple(g: KOutDigraph) -> bool:
-    return _rows_simple(g.endpoints)
+    return count_self_loops(g) == 0 and count_multi_pairs(g) == 0
 
 
 def serialize(g: KOutDigraph) -> bytes:

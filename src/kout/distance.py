@@ -109,15 +109,9 @@ def typical_distance(g: KOutDigraph, pairs: int, rng: RngSpec) -> DistanceSample
 
 def is_strongly_connected(g: KOutDigraph) -> bool:
     """True iff the digraph has exactly one strongly connected component."""
-    if g.n == 1:
-        return True
     # a vertex of in-degree zero settles it without running SCC
     if has_indegree_zero_vertex(g):
         return False
-    return _one_scc(g)
-
-
-def _one_scc(g: KOutDigraph) -> bool:
     return _scc_labels(*_dense_csr(g.endpoints))[0] == 1
 
 
@@ -152,10 +146,8 @@ def phase_sweep(
         for r in range(reps):
             spec = RngSpec(rng.seed, rng.stream + ki * reps + r)
             g = generate(n, k, spec)
-            if has_indegree_zero_vertex(g):
-                indeg0 += 1
-            elif _one_scc(g):
-                sc += 1
+            indeg0 += has_indegree_zero_vertex(g)
+            sc += is_strongly_connected(g)
         points.append(
             PhasePoint(
                 n=n,

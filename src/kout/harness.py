@@ -276,9 +276,7 @@ def tv_to_poisson(counts, mean: float) -> float:
     counts = np.asarray(list(counts), dtype=np.int64)
     if counts.size == 0:
         raise ValueError("need at least one observation")
-    buckets = int(counts.max()) + 10 + 1
-    emp = np.bincount(counts, minlength=buckets) / counts.size
-    return float(0.5 * np.abs(emp - poisson_pmf_folded(mean, buckets)).sum())
+    return _tv(counts, poisson_pmf_folded(mean, int(counts.max()) + 10 + 1))
 
 
 def tv_joint_to_poisson(pairs, mean_a: float, mean_b: float) -> float:
@@ -289,12 +287,15 @@ def tv_joint_to_poisson(pairs, mean_a: float, mean_b: float) -> float:
         raise ValueError("pairs must be a nonempty sequence of (a, b) counts")
     ba = int(arr[:, 0].max()) + 10 + 1
     bb = int(arr[:, 1].max()) + 10 + 1
-    emp = np.zeros((ba, bb))
-    for a, b in arr.tolist():
-        emp[a, b] += 1.0
-    emp /= arr.shape[0]
     theo = np.outer(poisson_pmf_folded(mean_a, ba), poisson_pmf_folded(mean_b, bb))
-    return float(0.5 * np.abs(emp - theo).sum())
+    return _tv(arr[:, 0] * bb + arr[:, 1], theo.ravel())
+
+
+def _tv(samples: np.ndarray, pmf: np.ndarray) -> float:
+    """Total variation between the histogram of ``samples``, integers in
+    ``[0, pmf.size)``, and the law ``pmf``."""
+    emp = np.bincount(samples, minlength=pmf.size) / samples.size
+    return float(0.5 * np.abs(emp - pmf).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,13 @@ Five records live beside this script:
 - ``cli_stdout.txt``: the stdout of each command in ``CLI_COMMANDS``, run
   through ``kout.cli.main`` in one process with ``KOUT_THREADS=1``, each
   under a ``$ kout ...`` header line; the wall-time line ``"ms_elapsed"`` of
-  ``distance --json`` is dropped.
+  ``distance --json`` is dropped;
+- ``surjection_draws.json``: the retries of ``sample_surjection(m, k,
+  RngSpec(20260809, stream))`` for every m in ``SURJECTION_MS``, k in
+  ``SURJECTION_KS`` and stream in ``SURJECTION_STREAMS``, with a SHA-256
+  digest of the mapping's little-endian int64 bytes and the retries.
 
-``tests/test_golden.py`` recomputes all four and compares them byte for byte.
+``tests/test_golden.py`` recomputes all five and compares them byte for byte.
 Regenerate (only when a change is meant to alter outputs) from the repository
 root with::
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -10,7 +11,7 @@ from unittest import mock
 import pytest
 
 import kout
-from kout import digraph, harness, outside, surjection
+from kout import cli, digraph, harness, outside, surjection
 from kout.cli import main
 from kout.digraph import MAGIC, deserialize
 
@@ -318,3 +319,60 @@ def test_public_names_resolve():
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"
     assert {"outside", "harness", "constants"} <= {m.__name__.split(".")[-1] for m in modules}
+
+
+def test_montecarlo_collect_choices_are_the_harness_groups():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    collect = next(a for a in sub.choices["montecarlo"]._actions if a.dest == "collect")
+    assert set(collect.choices) == {"all"} | harness.COLLECT_GROUPS
+
+
+def test_montecarlo_collect_spectra(tmp_path, capsys):
+    path = tmp_path / "spectra.csv"
+    run_cli(
+        capsys, "montecarlo", "--n", "200", "--k", "2", "--reps", "3",
+        "--seed", "4", "--collect", "spectra", "--out", str(path),
+    )
+    rows = harness.read_csv(str(path))
+    assert len(rows) == 3
+    for r in rows:
+        assert None not in (r.max_spec_out, r.d, r.m, r.max_full_spec, r.spec0)
+        assert r.cycles_total is None and r.w is None
+
+
+def test_montecarlo_json_records(tmp_path, capsys):
+    path = tmp_path / "mc.json"
+    run_cli(
+        capsys, "montecarlo", "--n", "60", "--k", "2", "--reps", "3",
+        "--seed", "9", "--out", str(path), "--format", "json",
+    )
+    doc = json.loads(path.read_text())
+    assert [r["replicate"] for r in doc] == [0, 1, 2]
+    for r in doc:
+        assert r["cycle_hist"] is not None
+        assert sum(r["cycle_hist"].values()) == r["cycles_total"]
+
+
+def test_phase_plain_lines(capsys):
+    out = run_cli(
+        capsys, "phase", "--n", "40", "--kmin", "2", "--kmax", "4",
+        "--reps", "5", "--seed", "5",
+    )
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for k, line in zip((2, 3, 4), lines):
+        assert line.startswith(f"k={k}: strongly connected ")
+        assert ", in-degree-0 present " in line
+
+
+def test_generate_json_file_and_analyze_roundtrip(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    argv = ("--n", "25", "--k", "2", "--seed", "4")
+    assert run_cli(capsys, "generate", *argv, "--out", str(path)) == ""
+    assert digraph.digraph_from_json(path.read_text()) == digraph.generate(
+        25, 2, digraph.RngSpec(4)
+    )
+    from_file = json.loads(run_cli(capsys, "analyze", "--in", str(path), "--json"))
+    fresh = json.loads(run_cli(capsys, "analyze", *argv, "--json"))
+    assert from_file == fresh

@@ -1,4 +1,5 @@
 import json
+import struct
 from collections import Counter
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from scipy.sparse import csr_matrix
 from conftest import digraph_from_rows, endpoint_tables
 from kout import digraph
 from kout.digraph import (
+    MAGIC,
     KOutDigraph,
     RngSpec,
     count_multi_pairs,
@@ -234,6 +236,25 @@ def test_deserialize_truncated():
     with pytest.raises(DigraphFormatError) as exc:
         deserialize(data[:-3])
     assert exc.value.offset == len(data) - 3
+
+
+def test_deserialize_truncated_header():
+    with pytest.raises(DigraphFormatError, match="truncated header") as exc:
+        deserialize(MAGIC + b"\0\0\0")
+    assert exc.value.offset == len(MAGIC) + 3
+
+
+@pytest.mark.parametrize("n, k", [(0, 2), (3, 0)])
+def test_deserialize_invalid_sizes(n, k):
+    with pytest.raises(DigraphFormatError, match=f"invalid sizes n={n}, k={k}") as exc:
+        deserialize(MAGIC + struct.pack("<QQ", n, k))
+    assert exc.value.offset == len(MAGIC) == 5
+
+
+def test_eq_defers_to_other_types():
+    g = generate(3, 2, RngSpec(1))
+    assert g.__eq__(object()) is NotImplemented
+    assert g != "not a digraph" and g == generate(3, 2, RngSpec(1))
 
 
 def test_deserialize_bad_magic():

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from kout import errors, outside
+from kout import errors, harness, outside
 from kout.constants import derive_constants
 from kout.decompose import decompose
 from kout.digraph import RngSpec, generate
@@ -362,3 +362,49 @@ def test_default_workers_counts_the_cpus_this_process_may_use(monkeypatch):
     assert default_workers() == 8
     monkeypatch.delattr(os, "sched_getaffinity")
     assert default_workers() == 8
+
+
+def test_csv_round_trip_of_skipped_groups(tmp_path):
+    cfg = ExperimentConfig(n=40, k=2, reps=3, seed=1, collect=frozenset({"core"}))
+    records = run_experiment(cfg, workers=1)
+    path = tmp_path / "core.csv"
+    write_csv(records, str(path))
+    rows = path.read_text().splitlines()[1:]
+    skipped = [c for c in CSV_COLUMNS if getattr(records[0], c) is None]
+    assert "cycles_total" in skipped and "w" in skipped and "max_full_spec" in skipped
+    for row in rows:
+        cells = dict(zip(CSV_COLUMNS, row.split(",")))
+        assert all(cells[c] == "" for c in skipped)
+    for orig, parsed in zip(records, read_csv(str(path))):
+        assert all(getattr(parsed, c) is None for c in skipped)
+        assert parsed.q_size == orig.q_size and parsed.simple == orig.simple
+
+
+def test_replicate_component_cap_error_tagged(monkeypatch):
+    # a cap of 0 trips on the first nontrivial component outside the giant
+    monkeypatch.setattr(outside, "SCC_SIZE_CAP", 0)
+    cfg = ExperimentConfig(n=300, k=2, reps=1, seed=2, collect=frozenset({"spectra"}))
+    for i in range(20):
+        try:
+            run_replicate(cfg, i)
+        except ComponentCapError as exc:
+            assert exc.replicate == i and exc.cap == 0 and exc.size >= 1
+            assert str(exc).startswith(f"replicate {i}: ")
+            return
+    pytest.fail("no replicate met a component outside the giant")
+
+
+def test_replicate_wraps_unexpected_errors(monkeypatch):
+    def broken(g):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(harness, "decompose", broken)
+    with pytest.raises(RuntimeError, match=r"^replicate 3: KeyError: 'boom'$") as exc:
+        run_replicate(ExperimentConfig(n=20, k=2, reps=4, seed=1), 3)
+    assert isinstance(exc.value.__cause__, KeyError)
+
+
+def test_summarize_refuses_constants_for_another_k():
+    records = run_experiment(ExperimentConfig(n=30, k=2, reps=2, seed=1), workers=1)
+    with pytest.raises(ValueError, match="constants are for k=3, records have k=2"):
+        summarize(records, derive_constants(3))

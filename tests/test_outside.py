@@ -431,3 +431,9 @@ def test_report_builds_no_second_view(rows):
         outside_report(g, d)
         max_full_spectrum(g, d)
     assert {key: spy.call_count for key, spy in spies.items()} == dict.fromkeys(spies, 0)
+
+
+def test_report_rejects_unknown_collect_group():
+    g = generate(30, 2, RngSpec(1))
+    with pytest.raises(ValueError, match=r"unknown collect groups: \['core'\]"):
+        outside_report(g, decompose(g), collect=frozenset({"cycles", "core"}))
