@@ -24,16 +24,18 @@ count the core peel starts from) decides whether every vertex of F reaches v,
 that is, whether F is one closed SCC; whp it is, and it is the giant.  F is
 closed, so every other SCC lies outside it, and every cycle lies in the
 one-in-core, so only the core vertices outside F can share a component.
-``scipy.sparse.csgraph`` labels just those, whp a few vertices; three in
-four replicates at n = 2*10^4 have fewer than two and make no call.
-scipy is imported on the first such call (``_csgraph``), so a command that
-never labels an SCC does not pay for loading it.
+``_scc_labels``, an iterative Tarjan (1972) search in pure Python, labels
+just those: whp a few vertices, in microseconds; three in four replicates
+at n = 2*10^4 have fewer than two and make no call.
 When F is not one SCC (at small n, or when the largest SCC reaches an
-absorbing vertex), the same steps run without F, and scipy labels the whole
-one-in-core.  Heights come from one peel over the arcs between distinct
-components, with F as a sink of height 0, and the one-in-core from a peel as
-well.  Each peel is level-synchronous, one numpy pass per level, and a random
-k-out digraph has O(log n) levels whp.  Every vertex reaches some closed
+absorbing vertex), the same steps run without F, and the search labels the
+whole one-in-core.  That fallback is rare at large n, but it costs about
+5 us per core vertex: 4.0 s on a forced fallback at n = 10^6, against
+0.66 s for scipy's compiled pass, which the package no longer loads.  Heights
+come from one peel over the arcs between distinct components, with F as a
+sink of height 0, and the one-in-core from a peel as well.  Each peel is
+level-synchronous, one numpy pass per level, and a random k-out digraph has
+O(log n) levels whp.  Every vertex reaches some closed
 component, so every vertex reaches the giant iff the giant is the only closed
 component.
 
@@ -161,31 +163,50 @@ def _split(values: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _csgraph():
-    """scipy's ``csr_matrix`` and ``connected_components``, imported on the
-    first call: most commands never label an SCC, and importing scipy would
-    cost them about 0.25 s and 30 MB.  ``run_experiment`` calls it before it
-    forks its pool, so the workers inherit the loaded modules."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    return csr_matrix, connected_components
-
-
 def _scc_labels(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, np.ndarray]:
-    """(number of SCCs, arbitrary SCC label per vertex) of a CSR digraph."""
+    """(number of SCCs, SCC label per vertex) of a CSR digraph whose rows may
+    be unsorted, repeat a head or be empty.  Tarjan's (1972) search, iterative
+    and linear in vertices plus arcs; labels are assigned as components
+    complete, so they are reverse topological."""
     n = indptr.size - 1
-    csr_matrix, connected_components = _csgraph()
-    # int8 data is load-bearing: scipy converts it to float64 and so tidies a
-    # copy (sorted rows, parallel arcs summed).  Handed float64 data directly,
-    # it skips that step, and on our unsorted rows with parallel arcs its SCC
-    # pass mislabels (44 components instead of 6 on generate(200, 4,
-    # RngSpec(5, 0))) or does not return (generate(200, 3, RngSpec(5, 1))).
-    mat = csr_matrix(
-        (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n)
-    )
-    ncomp, labels = connected_components(mat, directed=True, connection="strong")
-    return int(ncomp), labels.astype(np.int64)
+    ptr, heads = indptr.tolist(), indices.tolist()
+    nxt = ptr[:-1]  # the next arc to follow out of each vertex
+    order = [-1] * n  # discovery index, -1 until visited
+    low = [0] * n
+    label = [-1] * n  # -1 while the vertex is on the stack or unvisited
+    stack: list[int] = []
+    ncomp = count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            i = nxt[v]
+            if i < ptr[v + 1]:
+                nxt[v] = i + 1
+                w = heads[i]
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    path.append(w)
+                elif label[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+                continue
+            path.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] == order[v]:
+                w = -1
+                while w != v:
+                    w = stack.pop()
+                    label[w] = ncomp
+                ncomp += 1
+    return ncomp, np.array(label, dtype=np.int64)
 
 
 def _quotient(
@@ -256,10 +277,10 @@ def _rest(
     no arc leaves the sink, so they are the one-in-core of the view itself.
 
     Every cycle lies in the one-in-core, so only its vertices outside the sink
-    can share a component, and scipy labels just those (whp a few, once the
-    giant is the sink; no call at all when fewer than two are left).  Heights
-    come from one peel over the arcs between distinct components, the sink
-    standing in as one extra node of height 0.
+    can share a component, and ``_scc_labels`` labels just those (whp a few,
+    once the giant is the sink; no call at all when fewer than two are
+    left).  Heights come from one peel over the arcs between distinct
+    components, the sink standing in as one extra node of height 0.
     """
     n, k = endpoints.shape
     dtype = _index_dtype(n, k)

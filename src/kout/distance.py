@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import KOutDigraph, RngSpec, _check_int, _indegree, generate
-from .decompose import _dense_csr, _distinct, _rows, _scc_labels
+from .decompose import _distinct, _rows, _sweep
 
 __all__ = [
     "DistanceSample",
@@ -109,10 +109,19 @@ def typical_distance(g: KOutDigraph, pairs: int, rng: RngSpec) -> DistanceSample
 
 def is_strongly_connected(g: KOutDigraph) -> bool:
     """True iff the digraph has exactly one strongly connected component."""
-    # a vertex of in-degree zero settles it without running SCC
+    # a vertex of in-degree zero settles it without a search
     if has_indegree_zero_vertex(g):
         return False
-    return _scc_labels(*_dense_csr(g.endpoints))[0] == 1
+    # strongly connected iff vertex 0 reaches every vertex and every vertex
+    # reaches vertex 0
+    forward = _sweep(
+        lambda f: g.endpoints.take(f, axis=0).ravel(), np.zeros(g.n, dtype=bool), 0
+    )
+    if not forward.all():
+        return False
+    indptr, tails = g.reverse_csr
+    backward = _sweep(lambda f: _rows(indptr, tails, f), np.zeros(g.n, dtype=bool), 0)
+    return bool(backward.all())
 
 
 def has_indegree_zero_vertex(g: KOutDigraph) -> bool:

@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .constants import ModelConstants
-from .decompose import _csgraph, decompose
+from .decompose import decompose
 from .digraph import RngSpec, _check_int, count_multi_pairs, count_self_loops, generate
 from .errors import ComponentCapError, CycleCapError, InvariantViolationError, SettingError
 from .outside import FULL_COLLECT, outside_report
@@ -232,7 +232,6 @@ def run_experiment(
     if workers <= 1 or config.reps == 1:
         return [run_replicate(config, i) for i in indices]
     chunk = max(1, config.reps // (workers * 8))
-    _csgraph()  # load scipy once here, not in every forked worker
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_replicate, repeat(config), indices, chunksize=chunk))
 

@@ -48,7 +48,7 @@ from .decompose import (
     _rows,
     _scc_labels,
 )
-from .digraph import KOutDigraph
+from .digraph import KOutDigraph, _row_pointers
 from .errors import ComponentCapError, CycleCapError
 
 __all__ = [
@@ -79,8 +79,7 @@ def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
     """Vertex sets of the SCCs with at least two vertices of ``adj``."""
     ids = sorted(adj)
     pos = {v: i for i, v in enumerate(ids)}
-    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum([len(adj[v]) for v in ids], out=indptr[1:])
+    indptr = _row_pointers(np.array([len(adj[v]) for v in ids], dtype=np.int64))
     indices = np.array([pos[u] for v in ids for u in adj[v]], dtype=np.int64)
     _, labels = _scc_labels(indptr, indices)
     groups: dict[int, set[int]] = {}

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -8,10 +10,12 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import digraph_from_rows, endpoint_tables
 from kout.decompose import (
-    _dense_csr,
     _scc_labels,
     condense,
     decompose,
@@ -20,7 +24,7 @@ from kout.decompose import (
     one_in_core,
     scc,
 )
-from kout.digraph import RngSpec, generate
+from kout.digraph import KOutDigraph, RngSpec, _row_pointers, generate
 from kout.oracle import brute_cycles, brute_giant, brute_one_in_core, brute_scc_sets
 
 decompose_module = importlib.import_module("kout.decompose")
@@ -194,26 +198,46 @@ def test_monte_carlo_giant_density():
 
 
 # The three paths of decompose: F (the forward closure of the smallest core
-# vertex) is not one SCC, so no sink is used; F is one SCC but a larger closed
-# SCC lies elsewhere; F is one SCC and is the giant.  On the first two paths F
-# is not the giant, so after the call that labels the components, the view
-# outside the giant is built once more, with the giant as its sink.
+# vertex) is not one SCC, so no sink is used and the labeller gets the whole
+# one-in-core; F is one SCC but a larger closed SCC lies elsewhere; F is one
+# SCC and is the giant.  On the first two paths F is not the giant, so after
+# the call that labels the components, the view outside the giant is built
+# once more, with the giant as its sink.
 @pytest.mark.parametrize(
     "rows, sinks, giant_set",
     [
         ([(1, 1), (2, 2), (0, 3), (3, 3)], [[], [3]], [3]),
+        # {0, 1} is a 2-cycle that no other vertex enters, above the giant
+        (
+            [(1, 2), (0, 0), (3, 3), (4, 2), (5, 5), (2, 6), (2, 7), (6, 6), (3, 6), (9, 9)],
+            [[], [2, 3, 4, 5, 6, 7]],
+            [2, 3, 4, 5, 6, 7],
+        ),
         ([(0, 0), (2, 2), (3, 3), (1, 1)], [[0], [1, 2, 3]], [1, 2, 3]),
         ([(1, 1), (2, 2), (0, 0), (0, 1)], [[0, 1, 2]], [0, 1, 2]),
     ],
-    ids=["closure-not-strong", "absorbing-closure-not-giant", "closure-is-giant"],
+    ids=[
+        "closure-not-strong",
+        "smallest-2-cycle-not-entered",
+        "absorbing-closure-not-giant",
+        "closure-is-giant",
+    ],
 )
 def test_decompose_paths_match_brute(rows, sinks, giant_set):
     g = digraph_from_rows(rows)
-    with mock.patch.object(
-        decompose_module, "_rest", wraps=decompose_module._rest
-    ) as spy:
+    with (
+        mock.patch.object(decompose_module, "_rest", wraps=decompose_module._rest) as spy,
+        mock.patch.object(
+            decompose_module, "_scc_labels", wraps=decompose_module._scc_labels
+        ) as labeller,
+    ):
         d = decompose(g)
     assert [np.flatnonzero(c.args[2]).tolist() for c in spy.call_args_list] == sinks
+    # each view's labelling gets the core vertices outside its sink, if two
+    outside = [np.setdiff1d(d.one_in_core, sink).size for sink in sinks]
+    assert [c.args[0].size - 1 for c in labeller.call_args_list] == [
+        size for size in outside if size >= 2
+    ]
     assert frozenset(d.giant.tolist()) == brute_giant(rows) == frozenset(giant_set)
     ids, members = scc(g)
     assert np.array_equal(ids, d.scc_id)
@@ -256,16 +280,66 @@ def test_decompose_counts_in_degrees_once():
     assert np.array_equal(pointers[0], np.concatenate([[0], np.cumsum(indeg)]))
 
 
+def _partition(ncomp: int, labels: np.ndarray) -> list[tuple[int, ...]]:
+    return sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(ncomp))
+
+
+def _scipy_partition(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, ...]]:
+    """SCCs by scipy, the test-only reference.  Handed float64 CSR data whose
+    rows are unsorted or repeat a head, its SCC pass mislabels (44
+    components instead of 6 on generate(200, 4, RngSpec(5, 0))) or does not
+    return (generate(200, 3, RngSpec(5, 1))), so the matrix goes through
+    COO, which sums parallel arcs and sorts every row."""
+    n = indptr.size - 1
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    mat = coo_matrix((np.ones(indices.size), (tails, indices)), shape=(n, n)).tocsr()
+    return _partition(*connected_components(mat, directed=True, connection="strong"))
+
+
+def _assert_scc_labels_right(rows: list[list[int]]) -> None:
+    indptr = _row_pointers(np.array([len(r) for r in rows], dtype=np.int64))
+    indices = np.array([u for r in rows for u in r], dtype=np.int64)
+    ncomp, labels = _scc_labels(indptr, indices)
+    assert labels.shape == (len(rows),) and set(labels.tolist()) == set(range(ncomp))
+    got = _partition(ncomp, labels)
+    assert got == sorted(tuple(sorted(c)) for c in brute_scc_sets(rows))
+    assert got == _scipy_partition(indptr, indices)
+    # labels are reverse topological: no arc climbs to a higher label
+    assert all(labels[v] >= labels[u] for v, r in enumerate(rows) for u in r)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_scc_labels_on_raw_out_tables_match_brute(k):
-    # out-table rows are unsorted and may repeat an endpoint; scipy labels
-    # them right only when it tidies the matrix first (see _scc_labels)
+    # out-table rows are unsorted and may repeat an endpoint
     for stream in range(3):
-        g = generate(200, k, RngSpec(5, stream))
-        ncomp, labels = _scc_labels(*_dense_csr(g.endpoints))
-        got = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(ncomp))
-        want = sorted(tuple(sorted(c)) for c in brute_scc_sets(g.endpoints.tolist()))
-        assert got == want
+        _assert_scc_labels_right(generate(200, k, RngSpec(5, stream)).endpoints.tolist())
+
+
+@st.composite
+def csr_rows(draw, max_n: int = 10, max_degree: int = 4):
+    """Ragged rows: empty rows, self-loops and parallel arcs, 0-4 arcs each."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    head = st.integers(min_value=0, max_value=n - 1)
+    return draw(st.lists(st.lists(head, max_size=max_degree), min_size=n, max_size=n))
+
+
+@settings(max_examples=150)
+@given(csr_rows())
+def test_scc_labels_on_raw_csr_match_brute_and_scipy(rows):
+    _assert_scc_labels_right(rows)
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["identity", "2-cycles"])
+def test_decompose_labels_100k_small_closed_components(pairs):
+    # every core vertex but the giant's lies outside it, so the labeller gets
+    # all of them at once; a quadratic labeller would not finish here
+    n = 100_000
+    v = np.arange(n)
+    d = decompose(KOutDigraph(n, 1, (v ^ 1 if pairs else v)[:, None]))
+    size = 2 if pairs else 1
+    assert np.array_equal(d.scc_id, v // size)
+    assert d.n_components == n // size and not d.height.any()
+    assert d.giant.tolist() == list(range(size)) and not d.all_reach_giant
 
 
 def test_decomposition_arrays_are_stored_as_int32():
@@ -305,8 +379,8 @@ def test_condense_keys_do_not_wrap_past_46341_components():
     assert all(np.array_equal(a, b) for a, b in zip(adjacency, want))
 
 
-# scipy is loaded lazily, on the first SCC labelling.  This test process has
-# imported it already, so each check runs in a fresh interpreter.
+# The library never imports scipy; the tests use it as a reference, so this
+# test process has imported it, and each check runs in a fresh interpreter.
 _FRESH_PRELUDE = """
 import sys
 import kout, kout.cli
@@ -319,11 +393,11 @@ from kout.surjection import sample_surjection
 """
 
 
-def _run_fresh(code: str) -> subprocess.CompletedProcess:
+def _run_fresh(code: str, before: str = "") -> subprocess.CompletedProcess:
     src = str(Path(decompose_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", _FRESH_PRELUDE + code],
+        [sys.executable, "-c", before + _FRESH_PRELUDE + code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
 
@@ -348,11 +422,44 @@ def test_calls_that_label_no_scc_leave_scipy_unloaded(call):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_run_experiment_loads_scipy_before_forking_its_pool():
-    # the workers inherit the loaded modules instead of each importing scipy
-    proc = _run_fresh(
-        "run_experiment(ExperimentConfig(n=50, k=2, reps=4, seed=1), workers=2)\n"
-        "print('scipy.sparse.csgraph' in sys.modules)\n"
-    )
+# Every path that labels SCCs: the closure is the giant (k = 2) or not one SCC
+# (the hand-built table), many small components outside it (k = 1), cycles
+# in the view, forked pool workers, the phase sweep and the CLI.
+_LABELLING_CALLS = """
+import dataclasses
+from kout.decompose import decompose
+from kout.digraph import KOutDigraph
+from kout.distance import phase_sweep
+from kout.outside import outside_report
+
+rows = [(1, 2), (0, 0), (3, 3), (4, 2), (5, 5), (2, 6), (2, 7), (6, 6), (3, 6), (9, 9)]
+graphs = [KOutDigraph(10, 2, rows)]
+graphs += [generate(n, k, RngSpec(5, s)) for n, k in ((40, 2), (300, 1)) for s in range(8)]
+for g in graphs:
+    d = decompose(g)
+    rep = outside_report(g, d)
+    print(d.scc_id.tolist(), d.height.tolist(), d.giant.tolist(), d.view.comp.tolist())
+    print(dataclasses.replace(rep, spectra_sizes=rep.spectra_sizes.tolist()))
+records = run_experiment(ExperimentConfig(n=40, k=2, reps=8, seed=3), workers=2)
+print([dataclasses.replace(r, ms_elapsed=0.0) for r in records])
+print(phase_sweep(30, 1, 4, 6, RngSpec(2, 0)))
+cli.main(["montecarlo", "--n", "200", "--k", "2", "--reps", "4", "--seed", "1"])
+cli.main(["analyze", "--n", "200", "--k", "2", "--seed", "1", "--json"])
+"""
+
+
+def _without_elapsed(text: str) -> list[str]:
+    return [line for line in text.splitlines() if '"ms_elapsed"' not in line]
+
+
+def test_library_runs_and_prints_the_same_without_scipy(monkeypatch):
+    # with scipy unimportable, every SCC labelling still runs and prints what
+    # it prints in this process, where scipy is loaded
+    monkeypatch.setenv("KOUT_THREADS", "2")
+    proc = _run_fresh(_LABELLING_CALLS, before='import sys\nsys.modules["scipy"] = None\n')
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "True"
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_FRESH_PRELUDE + _LABELLING_CALLS, {})
+    assert "scipy" in sys.modules
+    assert _without_elapsed(proc.stdout) == _without_elapsed(here.getvalue())

@@ -359,7 +359,7 @@ def test_report_includes_w_flag():
 
 
 def test_one_scc_pass_per_replicate_on_the_core_outside_the_giant():
-    # scipy's SCC pass runs at most once per replicate (decompose, then
+    # the SCC labeller runs at most once per replicate (decompose, then
     # outside_report), on the core vertices outside the giant only, and not
     # at all when fewer than two of them are left.  Johnson's re-split inside
     # enumerate_cycles is not such a pass: it labels one component at a time,
