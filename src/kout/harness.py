@@ -24,11 +24,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from multiprocessing.util import Finalize
 
 import numpy as np
 
+from . import outside
 from .constants import ModelConstants
 from .decompose import decompose
 from .digraph import RngSpec, _check_int, count_multi_pairs, count_self_loops, generate
@@ -222,18 +224,67 @@ def default_workers() -> int:
     return min(usable, 8)
 
 
+# The worker pool kept across run_experiment calls, the key it was forked
+# under (the process that owns it, its size, the caps its workers inherited)
+# and the finalizer that shuts it down.
+_pool: ProcessPoolExecutor | None = None
+_pool_key: tuple | None = None
+_pool_shutdown: Finalize | None = None
+
+
+def _kept_pool(workers: int) -> ProcessPoolExecutor:
+    global _pool, _pool_key, _pool_shutdown
+    key = (os.getpid(), workers, outside.CYCLE_CAP, outside.SCC_SIZE_CAP)
+    if key != _pool_key:
+        if _pool_shutdown is not None:
+            _pool_shutdown()  # a no-op in a forked child: the pool is its parent's
+        _pool, _pool_key = ProcessPoolExecutor(max_workers=workers), key
+        # concurrent.futures stops the workers at interpreter exit; a process
+        # started by multiprocessing instead joins its children as it exits,
+        # so this finalizer stops them then, ahead of the call queue's own
+        # finalizer (priority 10), after which they could not be told to stop
+        _pool_shutdown = Finalize(
+            _pool, _pool.shutdown, kwargs={"cancel_futures": True}, exitpriority=20
+        )
+    return _pool
+
+
+def _run_chunk(config: ExperimentConfig, indices: range) -> list[ReplicateRecord]:
+    return [run_replicate(config, i) for i in indices]
+
+
 def run_experiment(
     config: ExperimentConfig, workers: int | None = None
 ) -> list[ReplicateRecord]:
-    """All replicates, ordered by index regardless of completion order."""
+    """All replicates, ordered by index regardless of completion order.
+
+    With more than one worker the replicates run in chunks on a process pool
+    that lives for the process: later calls reuse its workers, and it is
+    forked anew when the worker count, the process (a forked child) or
+    ``outside.CYCLE_CAP`` / ``outside.SCC_SIZE_CAP`` change, so the workers
+    always hold the caller's caps.  A replicate's error cancels the chunks
+    that have not started; a broken pool is dropped, so the next call starts
+    a new one.  The workers are joined at interpreter exit.
+    """
+    global _pool_key
     if workers is None:
         workers = default_workers()
     indices = range(config.reps)
     if workers <= 1 or config.reps == 1:
         return [run_replicate(config, i) for i in indices]
     chunk = max(1, config.reps // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_replicate, repeat(config), indices, chunksize=chunk))
+    futures = []
+    try:
+        pool = _kept_pool(workers)
+        for start in indices[::chunk]:
+            futures.append(pool.submit(_run_chunk, config, indices[start : start + chunk]))
+        return [record for f in futures for record in f.result()]
+    except BrokenProcessPool:
+        _pool_key = None  # the next call replaces the pool
+        raise
+    finally:
+        for f in futures:
+            f.cancel()
 
 
 # ---------------------------------------------------------------------------

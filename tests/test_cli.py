@@ -22,6 +22,18 @@ def run_cli(capsys, *argv) -> str:
     return capsys.readouterr().out
 
 
+def _run_python(*args, **env) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout.  Its output pipes close only when
+    every process holding them has exited, so a worker left running at exit
+    shows as a timeout."""
+    src = str(Path(kout.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, **env}, timeout=60,
+    )
+
+
 def test_constants_json(capsys):
     out = run_cli(capsys, "constants", "--k", "2", "--json")
     doc = json.loads(out)
@@ -250,6 +262,28 @@ def test_montecarlo_cap_error_exit_code(monkeypatch, capsys):
     assert err.startswith("cap exceeded: replicate ")
 
 
+def test_montecarlo_exits_with_its_worker_pool():
+    argv = ["montecarlo", "--n", "200", "--k", "2", "--reps", "8", "--seed", "1"]
+    proc = _run_python("-m", "kout", *argv, KOUT_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _run_python("-m", "kout", *argv, KOUT_THREADS="1").stdout
+
+
+def test_montecarlo_cap_error_exits_with_its_worker_pool():
+    # the cap error of test_montecarlo_cap_error_exit_code, raised in two workers
+    code = (
+        "import sys\n"
+        "from kout import cli, outside\n"
+        "outside.CYCLE_CAP = 0\n"
+        "sys.exit(cli.main(['montecarlo', '--n', '300', '--k', '2', '--reps', '20',"
+        " '--seed', '2']))\n"
+    )
+    proc = _run_python("-c", code, KOUT_THREADS="2")
+    assert proc.returncode == 4
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("cap exceeded: replicate ")
+
+
 def test_montecarlo_invalid_kout_threads(monkeypatch, capsys):
     monkeypatch.setenv("KOUT_THREADS", "x")
     code = main(["montecarlo", "--n", "20", "--k", "2", "--reps", "2", "--seed", "1"])
@@ -297,13 +331,7 @@ def test_failure_exit_code(tmp_path, monkeypatch, capsys, argv, patch, code, lab
 
 
 def test_entry_point_exit_code(tmp_path):
-    src = str(Path(kout.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "kout", "analyze", "--in", str(tmp_path / "missing.json")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_python("-m", "kout", "analyze", "--in", str(tmp_path / "missing.json"))
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("i/o error: ")

@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import pickle
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -303,6 +307,116 @@ def test_cap_error_keeps_type_across_worker_pool(monkeypatch):
         run_experiment(cfg, workers=2)
     assert info.value.replicate is not None
     assert str(info.value).startswith(f"replicate {info.value.replicate}: ")
+
+
+def _stripped(records) -> list[ReplicateRecord]:
+    return [dataclasses.replace(r, ms_elapsed=0.0) for r in records]
+
+
+def _pool_workers() -> dict:
+    """pid -> process of every worker in the kept pool."""
+    return dict(harness._pool._processes)
+
+
+POOL_CFG = ExperimentConfig(n=120, k=2, reps=12, seed=7)
+
+
+def test_pool_is_kept_across_calls():
+    first = run_experiment(POOL_CFG, workers=2)
+    pool, pids = harness._pool, set(_pool_workers())
+    second = run_experiment(POOL_CFG, workers=2)
+    assert harness._pool is pool and set(_pool_workers()) == pids and len(pids) == 2
+    assert _stripped(first) == _stripped(second) == _stripped(run_experiment(POOL_CFG, workers=1))
+
+
+def test_pool_is_replaced_when_the_worker_count_changes():
+    run_experiment(POOL_CFG, workers=2)
+    two = _pool_workers()
+    run_experiment(POOL_CFG, workers=3)
+    three = _pool_workers()
+    assert len(three) == 3 and not set(three) & set(two)
+    assert all(p.exitcode is not None for p in two.values())  # shut down and joined
+    run_experiment(POOL_CFG, workers=2)
+    assert len(_pool_workers()) == 2 and not set(_pool_workers()) & set(three)
+    assert all(p.exitcode is not None for p in three.values())
+
+
+def test_component_cap_patched_after_the_pool_exists(monkeypatch):
+    # the workers forked before the patch hold the old cap, so the pool is replaced
+    cfg = ExperimentConfig(n=300, k=2, reps=20, seed=2, collect=frozenset({"spectra"}))
+    run_experiment(cfg, workers=2)
+    monkeypatch.setattr(outside, "SCC_SIZE_CAP", 0)
+    with pytest.raises(ComponentCapError) as info:
+        run_experiment(cfg, workers=2)
+    assert info.value.cap == 0 and info.value.replicate is not None
+
+
+def test_replicate_error_cancels_the_chunks_not_started(monkeypatch):
+    # replicate 0 meets a cycle, so the first of 16 chunks fails at once
+    monkeypatch.setattr(outside, "CYCLE_CAP", 0)
+    cfg = ExperimentConfig(n=300, k=2, reps=320, seed=2)
+    core = ExperimentConfig(n=300, k=2, reps=40, seed=2, collect=frozenset({"core"}))
+    run_experiment(core, workers=2)  # no cycle search, so the cap does not trip
+    pool = harness._pool
+    submitted = []
+    submit = pool.submit
+
+    def recording_submit(*args):
+        submitted.append(submit(*args))
+        return submitted[-1]
+
+    monkeypatch.setattr(pool, "submit", recording_submit)
+    with pytest.raises(CycleCapError) as info:
+        run_experiment(cfg, workers=2)
+    assert info.value.replicate == 0 and len(submitted) == 16
+    # none is left waiting: each chunk ran, is running or was cancelled
+    assert all(f.done() or f.running() for f in submitted)
+    assert any(f.cancelled() for f in submitted)
+    # the same pool runs the next batch at once
+    assert _stripped(run_experiment(core, workers=2)) == _stripped(run_experiment(core, workers=1))
+    assert harness._pool is pool
+    # and with the cap restored, a new pool gives the serial records
+    monkeypatch.undo()
+    assert _stripped(run_experiment(cfg, workers=2)) == _stripped(run_experiment(cfg, workers=1))
+
+
+def test_killed_worker_breaks_one_call_only():
+    run_experiment(POOL_CFG, workers=2)
+    pid, worker = next(iter(_pool_workers().items()))
+    os.kill(pid, signal.SIGKILL)
+    assert wait([worker.sentinel], timeout=30)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(POOL_CFG, workers=2)
+    again = run_experiment(POOL_CFG, workers=2)
+    assert pid not in _pool_workers()
+    assert _stripped(again) == _stripped(run_experiment(POOL_CFG, workers=1))
+
+
+def _run_in_child(expected, conn) -> None:
+    got = _stripped(run_experiment(POOL_CFG, workers=2))
+    conn.send(list(_pool_workers()))
+    # returning lets multiprocessing exit the child, which joins its own workers
+    assert got == expected
+
+
+def test_forked_child_keeps_its_own_pool():
+    expected = _stripped(run_experiment(POOL_CFG, workers=1))
+    run_experiment(POOL_CFG, workers=2)
+    pool, pids = harness._pool, set(_pool_workers())
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_run_in_child, args=(expected, writer))
+    child.start()
+    its_workers = reader.recv() if reader.poll(30) else []
+    child.join(30)
+    if child.exitcode is None:  # stuck at exit: stop it and its workers
+        for pid in [child.pid, *its_workers]:
+            os.kill(pid, signal.SIGKILL)
+        child.join()
+    assert child.exitcode == 0
+    assert len(its_workers) == 2 and not set(its_workers) & pids
+    assert harness._pool is pool and set(_pool_workers()) == pids
+    assert _stripped(run_experiment(POOL_CFG, workers=2)) == expected
 
 
 @pytest.mark.parametrize(
