@@ -44,13 +44,14 @@ the giant whenever F is the giant.  Otherwise (F is not one SCC, or a larger
 closed SCC lies elsewhere) the same steps run once more with the giant as the
 sink.
 
-Vertex, arc and component ids are stored in the index dtype of
-``_index_dtype``: int32 when 2**16 <= n * k < 2**31, which cuts the peak
-memory of a large replicate by about a quarter, else int64.  int32 is a storage type only: every pair key ``a * m + b``
-is int64 (it wraps in 32 bits once m > 46,341), and so are the counters the
-peels lower.  Large selections use ``ndarray.compress``, several times faster
-than a boolean-mask index; ``_distinct`` keeps the mask, which costs less on
-the few elements of a pair search.
+Vertex, arc and component ids, and the out-table itself, are stored in the
+index dtype of ``_index_dtype``: int32 when 2**16 <= n * k < 2**31, else
+int64.  int32 is a storage type only: every pair key ``a * m + b`` and every
+reverse key is int64 (``a * m`` wraps in 32 bits once m > 46,341), and so
+are the counters the peels lower.  Large selections use
+``ndarray.compress``, several times faster than a boolean-mask index;
+``_distinct`` keeps the mask, which costs less on the few elements of a pair
+search.
 """
 
 from __future__ import annotations

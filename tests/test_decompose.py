@@ -379,6 +379,37 @@ def test_condense_keys_do_not_wrap_past_46341_components():
     assert all(np.array_equal(a, b) for a, b in zip(adjacency, want))
 
 
+def test_decompose_finds_the_giant_when_the_closure_is_not_strong_on_an_int32_table():
+    # n^2 > 2^31, so reverse keys built in int32 would wrap.  Vertices
+    # 1 .. n-1 form a cycle along letter 0 and their letter 1 stays among
+    # them: the giant.  Vertex 0 keeps a self-loop and an arc into the cycle,
+    # so it is in the core, and its closure is everything but not one SCC:
+    # only the backward sweep over the reverse CSR can tell
+    n = 50_000
+    v = np.arange(n)
+    ep = np.stack([v % (n - 1) + 1, np.random.default_rng(8).integers(1, n, n)], axis=1)
+    ep[0, 1] = 0
+    g = KOutDigraph(n, 2, ep)
+    assert g.endpoints.dtype == np.int32
+    d = decompose(g)
+    assert np.array_equal(d.giant, v[1:])
+    assert np.array_equal(d.one_in_core, v)
+    assert d.scc_id.tolist() == [1] + [0] * (n - 1) and d.height.tolist() == [0, 1]
+    assert d.all_reach_giant
+    assert d.view.vertices.tolist() == [0] and d.view.row(0) == [0]
+
+
+def test_decompose_sees_a_strong_closure_on_an_int32_table():
+    # whp F is the giant: a backward sweep over wrapped reverse keys would
+    # miss part of it and send the call down the whole-core fallback, with
+    # the same result, only far slower
+    g = generate(50_000, 2, RngSpec(22, 3))
+    with mock.patch.object(decompose_module, "_rest", wraps=decompose_module._rest) as spy:
+        d = decompose(g)
+    assert len(spy.call_args_list) == 1
+    assert np.array_equal(np.flatnonzero(spy.call_args.args[2]), d.giant)
+
+
 # The library never imports scipy; the tests use it as a reference, so this
 # test process has imported it, and each check runs in a fresh interpreter.
 _FRESH_PRELUDE = """

@@ -100,6 +100,25 @@ def test_int64_endpoints_are_not_copied():
     assert KOutDigraph(2, 1, ep.astype(np.uint32)).endpoints.dtype == np.int64
 
 
+def test_int32_endpoints_are_not_copied_on_large_tables():
+    # n * k = 2^16: the smallest table stored as int32
+    n = 2**15
+    ep = np.random.default_rng(5).integers(0, n, size=(n, 2), dtype=np.int64)
+    narrow = ep.astype(np.int32)
+    assert KOutDigraph(n, 2, narrow).endpoints is narrow
+    cast = KOutDigraph(n, 2, ep).endpoints
+    assert cast.dtype == np.int32 and np.array_equal(cast, ep)
+
+
+def test_out_of_range_endpoint_is_refused_before_the_int32_cast():
+    # 2^32 + 1 would wrap to the valid endpoint 1 in int32
+    n = 2**15
+    ep = np.zeros((n, 2), dtype=np.int64)
+    ep[3, 1] = 2**32 + 1
+    with pytest.raises(ValueError, match="endpoint outside"):
+        KOutDigraph(n, 2, ep)
+
+
 def _tables():
     gen = np.random.default_rng(31)
     return [
@@ -131,6 +150,21 @@ def test_reverse_csr_matches_scipy_csc(endpoints):
     assert np.array_equal(g_indptr, indptr) and np.array_equal(g_tails, tails)
     # the pair search gathers through these on every step: int64, not int32
     assert g_indptr.dtype == g_tails.dtype == np.int64
+
+
+def test_reverse_csr_keys_do_not_wrap_on_an_int32_table():
+    # n^2 > 2^31, so keys head * n + tail built in int32 would wrap
+    n, k = 50_000, 2
+    endpoints = generate(n, k, RngSpec(22, 1)).endpoints
+    assert endpoints.dtype == np.int32
+    # a stable sort by head keeps the tails of each row ascending
+    want = np.argsort(endpoints.ravel(), kind="stable") // k
+    for dtype in (np.int32, np.int64):
+        tails = _reverse_tails(endpoints, dtype)
+        assert tails.dtype == dtype and np.array_equal(tails, want)
+    indptr, tails = KOutDigraph(n, k, endpoints).reverse_csr
+    assert np.array_equal(indptr, _row_pointers(_indegree(endpoints)))
+    assert tails.dtype == np.int64 and np.array_equal(tails, want)
 
 
 def test_index_dtype_is_int32_on_large_tables_while_every_arc_index_fits():
@@ -222,6 +256,12 @@ def test_serialize_round_trip(rows):
     g = digraph_from_rows(rows)
     assert deserialize(serialize(g)) == g
     assert digraph_from_json(digraph_to_json(g)) == g
+
+
+def test_serialize_round_trip_keeps_int32_storage():
+    g = generate(40_000, 2, RngSpec(3))
+    for back in (deserialize(serialize(g)), digraph_from_json(digraph_to_json(g))):
+        assert back == g and back.endpoints.dtype == np.int32
 
 
 def test_serialize_rejects_n_beyond_u32():

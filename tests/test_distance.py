@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import digraph_from_rows, endpoint_tables
+from kout import digraph
 from kout.decompose import giant, one_in_core
-from kout.digraph import RngSpec, generate
+from kout.digraph import KOutDigraph, RngSpec, generate
 from kout.distance import (
     _PairSearch,
     has_indegree_zero_vertex,
@@ -43,6 +46,22 @@ def test_strongly_connected_cases(rows_3cycle, rows_chain):
     assert is_strongly_connected(digraph_from_rows(rows_3cycle))
     assert not is_strongly_connected(digraph_from_rows(rows_chain))
     assert is_strongly_connected(digraph_from_rows([(0, 0)]))  # n = 1
+
+
+def test_not_strongly_connected_when_one_vertex_cannot_get_back():
+    # n^2 > 2^31, so reverse keys built in int32 would wrap.  Every in-degree
+    # is at least 1 and vertex 0 reaches everything along the chain
+    # i -> i + 1 of letter 0, but vertex n - 1 holds two self-loops and
+    # cannot get back: only the backward sweep can tell
+    n = 50_000
+    v = np.arange(n)
+    ep = np.stack([np.minimum(v + 1, n - 1), v], axis=1)
+    ep[1, 1] = 0
+    g = KOutDigraph(n, 2, ep)
+    assert g.endpoints.dtype == np.int32 and not has_indegree_zero_vertex(g)
+    assert not is_strongly_connected(g)
+    ep[n - 1] = 0  # the way back: now every vertex reaches 0 along the chain
+    assert is_strongly_connected(KOutDigraph(n, 2, ep))
 
 
 def test_indegree_zero_implies_not_sc():
@@ -110,3 +129,13 @@ def test_pair_search_matches_brute_distance(rows):
         for dst in range(n):
             assert search(src, dst) == brute_distance(rows, src, dst), (src, dst)
     assert (search.labels[0] == -1).all() and (search.labels[1] == -1).all()
+
+
+def test_int32_and_int64_tables_give_the_same_distance_sample():
+    g = generate(50_000, 2, RngSpec(22, 2))
+    with mock.patch.object(digraph, "_index_dtype", return_value=np.dtype(np.int64)):
+        wide = KOutDigraph(g.n, g.k, g.endpoints)
+    assert g.endpoints.dtype == np.int32 and wide.endpoints.dtype == np.int64
+    narrow_sample = typical_distance(g, 300, RngSpec(5))
+    assert narrow_sample.finite_count > 200
+    assert typical_distance(wide, 300, RngSpec(5)) == narrow_sample
