@@ -32,17 +32,24 @@ absorbing vertex), the same steps run without F, and the search labels the
 whole one-in-core.  That fallback is rare at large n, but it costs about
 5 us per core vertex: 4.0 s on a forced fallback at n = 10^6, against
 0.66 s for scipy's compiled pass, which the package no longer loads.  Heights
-come from one peel over the arcs between distinct components, with F as a
-sink of height 0, and the one-in-core from a peel as well.  Each peel is
-level-synchronous, one numpy pass per level, and a random k-out digraph has
-O(log n) levels whp.  Every vertex reaches some closed
+come from a pull over the view's own out-table (``_pull``), with F as a sink
+of height 0: in round r a component settles at height r once every arc
+leaving it lands on one settled earlier.  Each vertex's distance to F comes
+from a BFS of the same kind, so W needs no second sweep.  A row whose arcs
+all enter F settles without a look; any other is looked at either in a
+round over every waiting row or as a predecessor of a row settled in the
+round before, whichever list is shorter, so the rounds stay linear in the
+view's rows and arcs even where the heights run to about sqrt(n) (k = 1).
+The one-in-core comes from a peel.  Both are level-synchronous, one numpy
+pass per level, and a random k-out digraph at k >= 2 has O(log n) levels
+whp.  Every vertex reaches some closed
 component, so every vertex reaches the giant iff the giant is the only closed
 component.
 
-The vertices outside F, with their CSR, ids and heights, are the view outside
-the giant whenever F is the giant.  Otherwise (F is not one SCC, or a larger
-closed SCC lies elsewhere) the same steps run once more with the giant as the
-sink.
+The vertices outside F, with their CSR, ids, heights and distances, are the
+view outside the giant whenever F is the giant.  Otherwise (F is not one
+SCC, or a larger closed SCC lies elsewhere) the same steps run once more
+with the giant as the sink.
 
 Vertex, arc and component ids, and the out-table itself, are stored in the
 index dtype of ``_index_dtype``: int32 when 2**16 <= n * k < 2**31, else
@@ -87,6 +94,7 @@ class OutsideView:
     indices: np.ndarray  # local heads of arcs staying outside, repeats kept (index dtype)
     comp: np.ndarray  # (size,) canonical SCC id per local vertex (index dtype)
     height: np.ndarray  # per SCC id, its height in the host, nondecreasing (int32)
+    dist: np.ndarray  # (size,) int32 arcs to the giant, -1 where out of reach
 
     @property
     def size(self) -> int:
@@ -134,7 +142,7 @@ def _indptr(rows: np.ndarray, nrows: int) -> np.ndarray:
 
 def _members(mask: np.ndarray, dtype) -> np.ndarray:
     """Sorted positions of the True entries of ``mask``, stored as ``dtype``."""
-    return np.arange(mask.size, dtype=dtype).compress(mask)
+    return np.flatnonzero(mask).astype(dtype, copy=False)
 
 
 def _dense_csr(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +165,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
+
+
+def _by_row(ufunc: np.ufunc, table: np.ndarray, dtype=None) -> np.ndarray:
+    """``ufunc.reduce(table, axis=1)``, one column at a time, as ``dtype``
+    (default the table's): numpy reduces a short last axis several times
+    slower (9 against 0.2 ms for the row maxima of a 200,000 x 2 table)."""
+    out = table[:, 0].astype(dtype or table.dtype)
+    for j in range(1, table.shape[1]):
+        ufunc(out, table[:, j], out=out)
+    return out
 
 
 def _split(values: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
@@ -258,14 +276,128 @@ def _sweep(
     return seen
 
 
-def _induced(endpoints: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the subgraph induced on the sorted vertices ``verts``,
-    relabelled 0 .. verts.size - 1; arcs leaving ``verts`` are dropped."""
-    local_of = np.full(endpoints.shape[0], -1, dtype=_index_dtype(*endpoints.shape))
+def _induced(table: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the subgraph that the out-table ``table`` (heads 0 .. rows, the
+    number of rows marking an arc out of the table) induces on the sorted
+    vertices ``verts``, relabelled 0 .. verts.size - 1; arcs leaving
+    ``verts`` are dropped.  On a view's local table the map is view-sized."""
+    local_of = np.full(table.shape[0] + 1, -1, dtype=_index_dtype(*table.shape))
     local_of[verts] = np.arange(verts.size)
-    local = local_of[endpoints.take(verts, axis=0)]
+    local = local_of.take(table.take(verts, axis=0))
     stays = local >= 0
-    return _row_pointers(stays.sum(axis=1)), local.ravel().compress(stays.ravel())
+    indptr = _row_pointers(_by_row(np.add, stays, np.int64))
+    return indptr, local.ravel().compress(stays.ravel())
+
+
+def _pull(
+    table: np.ndarray, outdeg: np.ndarray, indices: np.ndarray, rep: np.ndarray, inner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(height, distance to the sink) of every vertex of a view, from its
+    local out-table ``table``, where m (the view's size) marks an arc into
+    the sink; ``outdeg`` counts each row's other arcs, whose heads are
+    ``indices`` in row order.  ``rep`` is the smallest member of each
+    vertex's component, and ``inner`` lists the view's core vertices, which
+    hold every self-loop and every nontrivial component.
+
+    In round r a component settles at height r once every arc leaving it
+    lands on a component settled in an earlier round; the sink counts as
+    height 0, and an arc inside its own component counts for nothing.  A row
+    with every arc into the sink settles at 1 without a look.  Only the core
+    can hold a component closed in the view (height 0), and only its rows
+    need the check on ``rep``: a nontrivial component settles as a whole,
+    when none of its members is held back; its unsettled rows are checked
+    every round (whp a handful).  A vertex is at distance r once an arc
+    lands on one at distance r - 1, a BFS from the sink.
+
+    Each round looks either at every row still waiting (a pull over the
+    table) or only at the predecessors of the rows settled in the round
+    before (over the reversed arcs of the view), whichever list is shorter.
+    A pull thus costs at most the previous round's yield, and every round
+    is paid for by the rows it follows, so both loops are linear in rows
+    plus arcs even where the heights are long (about sqrt(n) at k = 1).  At
+    k >= 2 the waiting rows shrink by more than half a round and nearly
+    every round pulls.  Both results are int32, and a distance is -1 where
+    the sink is out of reach."""
+    m, k = table.shape
+    rev: list[np.ndarray] = []  # the tails of the view's arcs by head, built once asked
+
+    def preds(rows: np.ndarray) -> np.ndarray:
+        # the distinct rows with an arc onto one of ``rows``
+        if not rev and rows.size:
+            tails = np.repeat(np.arange(m, dtype=indices.dtype), outdeg)
+            rev.append(_row_pointers(np.bincount(indices, minlength=m)))
+            rev.append(tails.take(np.argsort(indices, kind="stable")))
+        return _distinct(_rows(*rev, rows)) if rows.size else rows
+
+    top = np.iinfo(np.int32).max  # not settled yet
+    level = np.full(m + 1, top, dtype=np.int32)
+    level[m] = 0
+    rep_ext = np.append(rep, m)
+    held = np.zeros(m, dtype=bool)
+
+    def closed(rows: np.ndarray, r: int) -> np.ndarray:
+        # which core rows settle in round r, checked per component
+        heads, reps = table.take(rows, axis=0), rep.take(rows)
+        out = (level.take(heads) >= r) & (rep_ext.take(heads) != reps[:, None])
+        stuck = reps.compress(_by_row(np.logical_or, out))
+        held[stuck] = True
+        ok = ~held.take(reps)
+        held[stuck] = False
+        return ok
+
+    ok = closed(inner, 0)
+    fresh = inner.compress(ok)  # the rows settled in the round before
+    level[fresh] = 0
+    new = np.flatnonzero(outdeg == 0)  # settled in round 1 without a look
+    level[new] = 1
+    wait = inner.compress(level.take(inner) == top)
+    todo = np.flatnonzero(level[:m] == top)  # may hold rows settled since
+    left = todo.size
+    r = 1
+    while True:
+        if wait.size:
+            ok = closed(wait, r)
+            got = wait.compress(ok)
+            level[got] = r
+            left -= got.size
+            new = np.concatenate([new, got])
+            wait = wait.compress(~ok)
+        if todo.size <= fresh.size:
+            todo = todo.compress(level.take(todo) == top)
+            ok = _by_row(np.maximum, level.take(table.take(todo, axis=0))) < r
+            got = todo.compress(ok)
+            todo = todo.compress(~ok)
+        else:
+            got = preds(fresh)
+            got = got.compress(level.take(got) == top)
+            got = got.compress(_by_row(np.maximum, level.take(table.take(got, axis=0))) < r)
+        level[got] = r
+        left -= got.size
+        fresh = np.concatenate([new, got])
+        if not fresh.size:
+            break
+        new = fresh[:0]
+        r += 1
+    if left:
+        raise AssertionError("condensation had a cycle; SCC labels are inconsistent")
+
+    dist = np.full(m, top, dtype=np.int32)
+    front = np.flatnonzero(outdeg < k)
+    near = np.flatnonzero(outdeg == k)  # rows with no arc into the sink
+    d = 1
+    while front.size:
+        dist[front] = d
+        d += 1
+        if near.size <= front.size:
+            near = near.compress(dist.take(near) == top)
+            hit = _by_row(np.minimum, dist.take(table.take(near, axis=0))) < d
+            front = near.compress(hit)
+            near = near.compress(~hit)
+        else:
+            front = preds(front)
+            front = front.compress(dist.take(front) == top)
+    dist[dist == top] = -1
+    return level[:m], dist
 
 
 def _rest(
@@ -273,56 +405,54 @@ def _rest(
 ) -> OutsideView:
     """The view outside ``sink``, a closed SCC (or no vertex at all), given
     the one-in-core mask ``core``: components numbered on their own by
-    (height, smallest label), with their heights in the whole digraph.  With
-    ``core`` None, a peel of the view finds its vertices in the one-in-core:
-    no arc leaves the sink, so they are the one-in-core of the view itself.
+    (height, smallest label), with their heights in the whole digraph, and
+    each vertex's distance to the sink.  With ``core`` None, a peel of the
+    view finds its vertices in the one-in-core: no arc leaves the sink, so
+    they are the one-in-core of the view itself.
 
-    Every cycle lies in the one-in-core, so only its vertices outside the sink
-    can share a component, and ``_scc_labels`` labels just those (whp a few,
-    once the giant is the sink; no call at all when fewer than two are
-    left).  Heights come from one peel over the arcs between distinct
-    components, the sink standing in as one extra node of height 0.
+    One local out-table of the view, with m (its size) marking an arc into
+    the sink, gives the CSR, the input of ``_scc_labels`` and ``_pull``.
+    Every cycle lies in the one-in-core, so only its vertices outside the
+    sink can share a component, and ``_scc_labels`` labels just those (whp a
+    few, once the giant is the sink; no call at all when fewer than two are
+    left).
     """
     n, k = endpoints.shape
     dtype = _index_dtype(n, k)
     verts = _members(~sink, dtype)
     m = verts.size
-    indptr, indices = _induced(endpoints, verts)
+    local_of = np.full(n, m, dtype=dtype)
+    local_of[verts] = np.arange(m, dtype=dtype)
+    table = local_of.take(endpoints.take(verts, axis=0))
+    del local_of
+    stays = table < m
+    outdeg = _by_row(np.add, stays, np.int64)
+    indptr = _row_pointers(outdeg)
+    indices = table.ravel().compress(stays.ravel())
+    del stays
     if core is None:
         indeg = np.bincount(indices, minlength=m)
         inner = np.flatnonzero(_peel(lambda f: _rows(indptr, indices, f), indeg) < 0)
     else:
         inner = np.flatnonzero(core[verts])
-    outdeg = np.diff(indptr)
-    rep = np.arange(m)  # smallest local member of each vertex's component
+    rep = np.arange(m, dtype=dtype)  # smallest local member of each vertex's component
     if inner.size > 1:
-        nlabels, labels = _scc_labels(*_induced(endpoints, verts[inner]))
+        nlabels, labels = _scc_labels(*_induced(table, inner))
         low = np.full(nlabels, m, dtype=np.int64)
         np.minimum.at(low, labels, inner)
         rep[inner] = low[labels]
-    # arcs between distinct components, plus one arc to node m per vertex
-    # with an arc into the sink
-    src = np.repeat(rep, outdeg)
-    dst = rep[indices]
-    cross = src != dst
-    exits = np.flatnonzero(outdeg < k)
-    src = np.concatenate([src.compress(cross), rep[exits]])
-    dst = np.concatenate([dst.compress(cross), np.full(exits.size, m)])
-    preds = np.sort(dst * (m + 1) + src)  # the tails, grouped by head
-    p_indptr = _indptr(preds // (m + 1), m + 1)
-    preds %= m + 1
-    outs = np.bincount(src, minlength=m + 1)
-    level = _peel(lambda f: _rows(p_indptr, preds, f), outs)
-    reps = np.flatnonzero(rep == np.arange(m))
+    level, dist = _pull(table, outdeg, indices, rep, inner)
+    del table, outdeg
+    reps = np.flatnonzero(rep == np.arange(m, dtype=dtype))
     height = level[reps]
-    if (height < 0).any():
-        raise AssertionError("condensation had a cycle; SCC labels are inconsistent")
-    order = np.argsort(height.astype(np.int64) * m + reps)
+    # reps ascend, so a stable sort orders them by (height, smallest label)
+    order = np.argsort(height, kind="stable")
     canon = np.empty(reps.size, dtype=dtype)
     canon[order] = np.arange(reps.size)
     index_of = np.zeros(m, dtype=dtype)
     index_of[reps] = np.arange(reps.size)
-    return OutsideView(verts, indptr, indices, canon[index_of[rep]], height[order])
+    comp = canon.take(index_of.take(rep))
+    return OutsideView(verts, indptr, indices, comp, height.take(order), dist)
 
 
 def _core_mask(endpoints: np.ndarray, indeg: np.ndarray) -> np.ndarray:

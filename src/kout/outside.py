@@ -17,15 +17,20 @@ view's component ids and heights are the host's with the giant's removed
 builds the view once and keeps it as ``Decomposition.view``, which
 ``outside_report`` and ``max_full_spectrum`` read; ``outside_view(g, giant)``
 builds the same view with the same helper.  Cycle enumeration and the
-longest-path DP read the labels instead of recomputing them.
+longest-path DP read the labels instead of recomputing them, and W and the
+unreached count read the view's distances into the giant, which the view's
+builder computes with its heights; ``distance_to_giant(g, giant)`` builds a
+view for them.
 
 Spectrum sizes, eccentricities and arc excess come from one scan that runs a
 level-synchronous numpy BFS from every view vertex at once, over (source,
 vertex) pairs.  Whp the part outside the giant is mostly tree-like, so the
 closures are tiny (about 1.7 vertices each on average at n = 10^6, k = 2) and
-the whole scan costs about as much as a single BFS over the view.  The same
-scan gives the full-digraph spectra exactly at every n: a vertex's spectrum is
-its closure in the view, plus the giant if an arc of that closure enters it.
+the whole scan costs about as much as a single BFS over the view.  A pair
+can repeat only where two walks meet, at a merge vertex, so only pairs there
+are deduplicated.  The same scan gives the full-digraph spectra exactly at
+every n: a vertex's spectrum is its closure in the view, plus the giant if an
+arc of that closure enters it.
 
 The exact searches stop at the module constants ``CYCLE_CAP`` (cycles in the
 view) and ``SCC_SIZE_CAP`` (vertices of one nontrivial component in the
@@ -45,7 +50,6 @@ from .decompose import (
     OutsideView,
     _distinct,
     _rest,
-    _rows,
     _scc_labels,
 )
 from .digraph import KOutDigraph, _row_pointers
@@ -209,37 +213,64 @@ class _ScanResult(NamedTuple):
 
 def _scan(view: OutsideView) -> _ScanResult:
     """Forward closure of every view vertex, as one level-synchronous BFS over
-    (source, vertex) pairs keyed ``source * m + vertex``.
+    (source, vertex) pairs.
 
-    A closure is closed in the view, so every arc of a member stays inside
-    it: the arcs it induces number the sum of its members' view out-degrees.
-    Sources go in blocks of ``SCAN_BLOCK``, so the sorted pair arrays hold at
-    most that many closures at a time.
+    A pair (s, x) can come up twice only if x is a merge vertex: one with two
+    in-arcs in the view (parallel arcs count), a self-loop, or a place in a
+    nontrivial view SCC.  Elsewhere the one arc into x is taken once per
+    source, so only pairs at merge vertices are deduplicated and looked up
+    in ``seen``, keyed ``source * m + vertex``, which holds just them.  At
+    n = 10^6, k = 2 merge vertices are 6.4 % of the view and take a third of
+    its arcs.  Sizes and eccentricities are counted from the fresh pairs.  A
+    closure is closed in the view, so every arc of a member stays inside it
+    and is followed once: the arcs it induces are its size, plus the pairs
+    offered again at merge vertices, minus 1.  Sources go in blocks of
+    ``SCAN_BLOCK``, which bounds the pairs held at a time.
     """
     m = view.size
-    outdeg = np.diff(view.indptr)
+    indptr, indices = view.indptr, view.indices
+    outdeg = np.diff(indptr)
+    sources = np.flatnonzero(outdeg > 0)  # the rest keep a singleton spectrum
+    merge = np.bincount(indices, minlength=m) >= 2
+    # an arc inside its own component is a self-loop or lies in a nontrivial SCC
+    comp = view.comp
+    inside = np.repeat(comp.take(sources), outdeg.take(sources)) == comp.take(indices)
+    merge[indices.compress(inside)] = True
     sizes = np.ones(m, dtype=np.int64)
     eccs = np.zeros(m, dtype=np.int64)
     excess = np.full(m, -1, dtype=np.int64)
-    sources = np.flatnonzero(outdeg)  # the rest keep a singleton spectrum
     for lo in range(0, sources.size, SCAN_BLOCK):
-        block = sources[lo : lo + SCAN_BLOCK]
-        seen = frontier = block * m + block  # sorted, like every key array below
+        # the frontier: pairs (src[i], dst[i]) reached for the first time
+        src = dst = sources[lo : lo + SCAN_BLOCK]
+        # sorted keys; m * m, above every key, ends each search in range
+        seen = np.append(src.compress(merge.take(src)) * (m + 1), m * m)
+        reached, offered, taken = [], [], []
         level = 0
-        while frontier.size:
-            level += 1
-            v = frontier % m
-            keys = np.repeat(frontier - v, outdeg[v])
-            keys += _rows(view.indptr, view.indices, v)
-            keys = _distinct(keys)
+        while src.size:
+            deg = outdeg.take(dst)
+            live = deg > 0
+            src, dst, deg = src.compress(live), dst.compress(live), deg.compress(live)
+            ends = np.cumsum(deg)
+            at = np.repeat(indptr.take(dst) - ends + deg, deg) + np.arange(deg.sum())
+            dst = indices.take(at)
+            src = np.repeat(src, deg)
+            again = merge.take(dst)
+            offered.append(src.compress(again))
+            keys = _distinct(offered[-1] * m + dst.compress(again))
             at = np.searchsorted(seen, keys)
-            fresh = np.take(seen, at, mode="clip") != keys
-            frontier = keys.compress(fresh)
-            eccs[frontier // m] = level
-            seen = np.insert(seen, at.compress(fresh), frontier)
-        starts = np.searchsorted(seen, block * m)
-        sizes[block] = np.diff(starts, append=seen.size)
-        excess[block] = np.add.reduceat(outdeg[seen % m], starts) - sizes[block]
+            new = seen.take(at) != keys
+            keys = keys.compress(new)
+            seen = np.insert(seen, at.compress(new), keys)
+            taken.append(keys // m)
+            src = np.concatenate([src.compress(~again), taken[-1]])
+            dst = np.concatenate([dst.compress(~again), keys - taken[-1] * m])
+            level += 1
+            eccs[src] = level
+            reached.append(src)
+        sizes += np.bincount(np.concatenate(reached), minlength=m)
+        # the arcs a closure induces: its size, plus each pair offered again, minus 1
+        excess += np.bincount(np.concatenate(offered), minlength=m)
+        excess -= np.bincount(np.concatenate(taken), minlength=m)
     return _ScanResult(sizes, eccs, excess)
 
 
@@ -259,20 +290,18 @@ class GiantDistances(NamedTuple):
     unreached: int  # outside vertices with no path to the giant (excluded from w)
 
 
+def _giant_distances(view: OutsideView) -> GiantDistances:
+    """W and the unreached count of a view, from its distances."""
+    return GiantDistances(
+        w=int(view.dist.max(initial=0)), unreached=int(np.count_nonzero(view.dist < 0))
+    )
+
+
 def distance_to_giant(g: KOutDigraph, giant_set: np.ndarray) -> GiantDistances:
-    """Multi-source BFS from the giant along reversed arcs, level-synchronous."""
-    visited = np.zeros(g.n, dtype=bool)
-    visited[giant_set] = True
-    rest = np.flatnonzero(~visited)
-    level = 0
-    while rest.size:
-        hits = visited[g.endpoints.take(rest, axis=0)].any(axis=1)
-        if not hits.any():
-            break
-        level += 1
-        visited[rest.compress(hits)] = True
-        rest = rest.compress(~hits)
-    return GiantDistances(w=level, unreached=int(rest.size))
+    """W and the unreached count, from the view outside ``giant_set``, whose
+    distances come with its heights; ``outside_report`` reads them off the
+    view that ``decompose`` keeps instead."""
+    return _giant_distances(outside_view(g, giant_set))
 
 
 # ---------------------------------------------------------------------------
@@ -433,5 +462,5 @@ def outside_report(
         rep.m = longest_path(view)
 
     if "distances" in collect:
-        rep.w, rep.w_unreachable = distance_to_giant(g, dec.giant)
+        rep.w, rep.w_unreachable = _giant_distances(view)
     return rep

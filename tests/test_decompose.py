@@ -249,6 +249,79 @@ def test_decompose_paths_match_brute(rows, sinks, giant_set):
     assert np.array_equal(d.view.vertices, np.setdiff1d(np.arange(g.n), d.giant))
 
 
+def brute_heights(rows):
+    """Per vertex, the height of its SCC: the longest path in the
+    condensation from it to a component with no arc out."""
+    comp_of = {v: c for c in brute_scc_sets(rows) for v in c}
+    succ = {c: {comp_of[u] for v in c for u in rows[v]} - {c} for c in comp_of.values()}
+    memo = {}
+
+    def height(c):
+        if c not in memo:
+            memo[c] = max((1 + height(s) for s in succ[c]), default=0)
+        return memo[c]
+
+    return [height(comp_of[v]) for v in range(len(rows))]
+
+
+def assert_heights_match_brute(d, rows):
+    want = brute_heights(rows)
+    assert d.height[d.scc_id].tolist() == want
+    view = d.view
+    assert view.height[view.comp].tolist() == [want[v] for v in view.vertices.tolist()]
+
+
+@settings(max_examples=80)
+@given(endpoint_tables(max_n=10, max_k=3))
+def test_heights_match_brute_condensation(rows):
+    assert_heights_match_brute(decompose(digraph_from_rows(rows)), rows)
+
+
+def test_fallback_heights_match_brute_when_the_largest_scc_is_not_closed():
+    # the 4-cycle 0 1 2 3 leaks into the absorbing vertex 4, so the closure of
+    # vertex 0 is not one SCC, and the largest SCC is not closed; the 2-cycle
+    # {8, 9} and the tree vertices 5, 6, 7 sit above them
+    rows = [(1, 1), (2, 2), (3, 3), (0, 4), (4, 4), (0, 0), (5, 4), (6, 6), (9, 6), (8, 8)]
+    largest = max(brute_scc_sets(rows), key=len)
+    assert largest == {0, 1, 2, 3} and any(u not in largest for v in largest for u in rows[v])
+    g = digraph_from_rows(rows)
+    with mock.patch.object(decompose_module, "_rest", wraps=decompose_module._rest) as spy:
+        d = decompose(g)
+    assert not spy.call_args_list[0].args[2].any()  # the whole-core fallback
+    assert d.giant.tolist() == [4]
+    assert_heights_match_brute(d, rows)
+    assert d.view.dist.tolist() == [4, 3, 2, 1, 5, 1, 2, 2, 3]
+    assert d.height.tolist() == [0, 1, 2, 3, 4, 4]
+
+
+def test_long_heights_look_at_each_row_a_bounded_number_of_times():
+    # k = 1: the 6-cycle 0..5 (the giant), the 2-cycle {6, 7}, a path of
+    # 3000 vertices into vertex 0 and one of 40 into vertex 6.  A height is
+    # the distance to one's own cycle, a distance the one to the giant.  A
+    # round that looked at every waiting row would look at about 3000^2 / 2.
+    long, short = 3000, 40
+    a, b = 8, 8 + long  # the first vertex of each path
+    rows = [((v + 1) % 6,) for v in range(6)] + [(7,), (6,)]
+    rows += [(a + i + 1,) for i in range(long - 1)] + [(0,)]
+    rows += [(b + i + 1,) for i in range(short - 1)] + [(6,)]
+    looked = []
+    by_row = decompose_module._by_row
+
+    def spy(ufunc, table, dtype=None):
+        if ufunc in (np.maximum, np.minimum):
+            looked.append(table.shape[0])
+        return by_row(ufunc, table, dtype)
+
+    with mock.patch.object(decompose_module, "_by_row", spy):
+        d = decompose(digraph_from_rows(rows))
+    assert d.giant.tolist() == list(range(6))
+    want = [0] * 8 + list(range(long, 0, -1)) + list(range(short, 0, -1))
+    assert d.height[d.scc_id].tolist() == want
+    assert d.view.height[d.view.comp].tolist() == want[6:]
+    assert d.view.dist.tolist() == [-1, -1] + want[8 : 8 + long] + [-1] * short
+    assert sum(looked) <= 4 * len(rows)
+
+
 def test_decompose_counts_in_degrees_once():
     # the reverse CSR's row pointers come from the count, and then the core
     # peel lowers that same count in place
@@ -363,7 +436,7 @@ def test_int32_and_int64_storage_give_the_same_decomposition(rows):
     narrow, wide = got[np.int32], got[np.int64]
     for name in ("scc_id", "height", "giant", "one_in_core"):
         assert np.array_equal(getattr(wide, name), getattr(narrow, name)), name
-    for name in ("vertices", "indptr", "indices", "comp", "height"):
+    for name in ("vertices", "indptr", "indices", "comp", "height", "dist"):
         assert np.array_equal(getattr(wide.view, name), getattr(narrow.view, name)), name
 
 

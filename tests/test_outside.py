@@ -13,6 +13,7 @@ from kout.digraph import RngSpec, generate
 from kout.errors import ComponentCapError, CycleCapError
 from kout.oracle import (
     brute_cycles,
+    brute_distance,
     brute_eccentricities,
     brute_longest_path,
     brute_max_eccentricity,
@@ -182,9 +183,7 @@ def test_arc_excess_by_direct_recount(rows):
             assert arcs <= len(seen)
 
 
-@settings(max_examples=80)
-@given(endpoint_tables(max_n=9, max_k=3))
-def test_scan_matches_brute_per_vertex(rows):
+def assert_scan_matches_brute(rows):
     # sizes, eccentricities and arc excess of every view vertex, against the
     # oracles and a direct arc recount; a two-source block puts block seams
     # between almost every pair of sources
@@ -201,6 +200,44 @@ def test_scan_matches_brute_per_vertex(rows):
     with mock.patch.object(outside, "SCAN_BLOCK", 2):
         small = _scan(view)
     assert all(np.array_equal(a, b) for a, b in zip(small, scan))
+
+
+@settings(max_examples=80)
+@given(endpoint_tables(max_n=9, max_k=3))
+def test_scan_matches_brute_per_vertex(rows):
+    assert_scan_matches_brute(rows)
+
+
+# The scan looks a pair (source, x) up only where x is a merge vertex: two
+# in-arcs in the view, a self-loop, or a nontrivial view SCC.  Vertex 0 is the
+# giant in each table.
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 0), (2, 3), (4, 0), (4, 0), (0, 0)],  # 1 -> 2 -> 4 and 1 -> 3 -> 4
+        [(0, 0), (2, 3), (5, 0), (4, 0), (5, 0), (0, 0)],  # paths of 2 and 3 arcs
+        [(0, 0), (2, 2), (0, 0)],  # parallel arcs 1 => 2
+        [(0, 0), (1, 0)],  # a self-loop is the only arc into 1
+        [(0, 0), (1, 2), (0, 0)],  # the same, with an arc on to 2
+        [(0, 0), (2, 0), (1, 0)],  # every source lies on the 2-cycle 1 <-> 2
+        [(0, 0), (2, 0), (3, 0), (4, 0), (2, 0)],  # a tail 1 into the 3-cycle 2 3 4
+        [(0, 0), (2, 0), (3, 0), (1, 4), (0, 0)],  # a 3-cycle with an exit 3 -> 4
+    ],
+    ids=[
+        "diamond",
+        "uneven-diamond",
+        "parallel-arcs",
+        "lone-self-loop",
+        "self-loop-then-arc",
+        "sources-on-2-cycle",
+        "tail-into-3-cycle",
+        "3-cycle-with-exit",
+    ],
+)
+def test_scan_at_merge_vertices_matches_brute(rows):
+    g = digraph_from_rows(rows)
+    assert decompose(g).giant.tolist() == [0]
+    assert_scan_matches_brute(rows)
 
 
 @settings(max_examples=60)
@@ -230,6 +267,75 @@ def test_distance_to_giant_unreachable_flagged():
     d = decompose(g)
     res = distance_to_giant(g, d.giant)
     assert res.w == 0 and res.unreached == 1
+
+
+def brute_giant_distances(rows, giant_set):
+    """Per vertex outside ``giant_set``, its arc distance into it, or -1."""
+    dist = {}
+    for v in sorted(set(range(len(rows))) - set(giant_set)):
+        reach = [brute_distance(rows, v, x) for x in giant_set]
+        dist[v] = min((r for r in reach if r is not None), default=-1)
+    return dist
+
+
+def assert_giant_distances_match_brute(rows):
+    # the view's distances, distance_to_giant and the report's w and
+    # w_unreachable, against a plain BFS from each outside vertex
+    g, d, view = make_view(rows)
+    want = brute_giant_distances(rows, d.giant.tolist())
+    for v in (view, d.view):
+        assert v.dist.dtype == np.int32
+        assert dict(zip(v.vertices.tolist(), v.dist.tolist())) == want
+    w = max([0, *want.values()])
+    unreached = sum(x < 0 for x in want.values())
+    assert tuple(distance_to_giant(g, d.giant)) == (w, unreached)
+    rep = outside_report(g, d, collect=frozenset({"distances"}))
+    assert (rep.w, rep.w_unreachable) == (w, unreached)
+    return unreached
+
+
+def test_giant_distances_with_a_second_closed_scc():
+    # closed SCCs {0, 1} (the giant, by the smaller label) and {2, 3}; 4 has
+    # a self-loop and an arc into {2, 3}, so 2, 3 and 4 never reach the giant
+    rows = [(1, 1), (0, 0), (3, 3), (2, 2), (2, 4), (4, 0), (5, 5)]
+    g, d, view = make_view(rows)
+    assert d.giant.tolist() == [0, 1] and not d.all_reach_giant
+    assert view.dist.tolist() == [-1, -1, -1, 1, 2]
+    assert assert_giant_distances_match_brute(rows) == 3
+
+
+@settings(max_examples=80)
+@given(endpoint_tables(max_n=10, max_k=3))
+def test_giant_distances_match_brute(rows):
+    assert_giant_distances_match_brute(rows)
+
+
+def test_giant_distances_match_brute_on_random_tables():
+    rng = np.random.default_rng(23)
+    unreached = []
+    for _ in range(300):
+        n, k = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        unreached.append(assert_giant_distances_match_brute(rng.integers(0, n, (n, k)).tolist()))
+    assert min(unreached) == 0 and max(unreached) > 0  # both cases were seen
+
+
+def test_distances_alone_run_no_scan_and_build_no_view():
+    # --collect distances reads the distances that decompose's view keeps
+    g = generate(2000, 2, RngSpec(13, 1))
+    d = decompose(g)
+    with contextlib.ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(module, name, create=True, wraps=fn))
+            for module, name, fn in (
+                (outside, "_scan", outside._scan),
+                (outside, "_rest", decompose_module._rest),
+                (decompose_module, "_rest", decompose_module._rest),
+            )
+        ]
+        rep = outside_report(g, d, collect=frozenset({"distances"}))
+    assert [spy.call_count for spy in spies] == [0, 0, 0]
+    assert (rep.w, rep.w_unreachable) == tuple(distance_to_giant(g, d.giant))
+    assert rep.spectra_sizes is None and rep.cycles is None
 
 
 def test_eccentricity_hand_cases():
@@ -382,7 +488,7 @@ def test_one_scc_pass_per_replicate_on_the_core_outside_the_giant():
 
 
 def assert_same_view(a, b):
-    for field in ("vertices", "indptr", "indices", "comp", "height"):
+    for field in ("vertices", "indptr", "indices", "comp", "height", "dist"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and np.array_equal(x, y), field
 
