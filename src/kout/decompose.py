@@ -18,10 +18,15 @@ from the ids when asked.  It also keeps the view outside the giant (an
 
 SCCs are found around the giant instead of by one pass over all vertices.
 Let v be the smallest vertex of the one-in-core and F its forward closure,
-found by a level-synchronous BFS.  A backward BFS from v over a reverse CSR
-(built for the check and dropped after it; its row pointers are the in-degree
-count the core peel starts from) decides whether every vertex of F reaches v,
-that is, whether F is one closed SCC; whp it is, and it is the giant.  F is
+found by a level-synchronous BFS.  A backward BFS from v (``_sweep_back``)
+decides whether every vertex of F reaches v, that is, whether F is one
+closed SCC; whp it is, and it is the giant.  Its first rounds push over a
+reverse CSR, built for the check and dropped after it (its row pointers are
+the in-degree count the core peel starts from); once the rows of F still
+waiting are fewer than the frontier, its rounds pull over the out-table
+instead.  On large tables the reverse keys sort on a helper thread while F
+is found (``digraph.SORT_HELPER_MIN``); the helper is joined before the keys
+become tails, and no thread outlives the call.  F is
 closed, so every other SCC lies outside it, and every cycle lies in the
 one-in-core, so only the core vertices outside F can share a component.
 ``_scc_labels``, an iterative Tarjan (1972) search in pure Python, labels
@@ -266,13 +271,48 @@ def _sweep(
 ) -> np.ndarray:
     """Level-synchronous BFS from v that marks in ``seen`` every node v
     reaches through unmarked nodes; ``rows_of(frontier)`` lists the heads of
-    the frontier's arcs.  Returns ``seen``."""
+    the frontier's arcs.  Returns ``seen``.  Every caller sweeps forward;
+    backward sweeps go through ``_sweep_back``."""
     seen[v] = True
     frontier = np.array([v])
     while frontier.size:
         hit = rows_of(frontier)
         frontier = _distinct(hit.compress(~seen[hit]))
         seen[frontier] = True
+    return seen
+
+
+def _sweep_back(
+    table: np.ndarray, indptr: np.ndarray, tails: np.ndarray, seen: np.ndarray, v: int
+) -> np.ndarray:
+    """Level-synchronous BFS from v against the arcs of the out-table
+    ``table``, whose reverse CSR is (``indptr``, ``tails``): marks in
+    ``seen`` every node that reaches v through unmarked nodes.  The unmarked
+    nodes must be closed under the table's arcs (a forward closure), so that
+    a marked head of an unmarked row is one reached by the sweep.
+
+    Each round pushes from the frontier over the reverse CSR, or pulls over
+    the rows still waiting (a row is reached once any of its heads is),
+    whichever list is shorter, the rule of ``_pull`` and of Beamer, Asanovic
+    & Patterson's direction-optimizing BFS (SC 2012).  A pull thus costs at
+    most the frontier before it, so the sweep stays linear in rows plus
+    arcs.  The first rounds push; the last ones, where the frontier
+    outnumbers the few rows left, pull.  Returns ``seen``."""
+    seen[v] = True
+    left = seen.size - np.count_nonzero(seen)  # the rows still waiting
+    frontier = np.array([v])
+    todo = None  # the waiting rows, listed at the first pull
+    while frontier.size and left:
+        if left <= frontier.size:
+            todo = np.flatnonzero(~seen) if todo is None else todo.compress(~seen.take(todo))
+            hit = _by_row(np.logical_or, seen.take(table.take(todo, axis=0)))
+            frontier = todo.compress(hit)
+            todo = todo.compress(~hit)
+        else:
+            hit = _rows(indptr, tails, frontier)
+            frontier = _distinct(hit.compress(~seen[hit]))
+        seen[frontier] = True
+        left -= frontier.size
     return seen
 
 
@@ -511,12 +551,15 @@ def decompose(g: KOutDigraph) -> Decomposition:
     rev_indptr = _row_pointers(indeg, dtype)
     core = _core_mask(endpoints, indeg)
     del indeg
-    # peak memory: build the reverse CSR and the member lists where the least
-    # freed heap is held, before the closure and before _rest
-    rev_tails = _reverse_tails(endpoints, dtype)
+    # peak memory: build the reverse keys where the least freed heap is held,
+    # after the peel and before _rest; on large tables they sort on a helper
+    # thread while this one finds the forward closure
     v = int(np.argmax(core))
-    closure = _sweep(lambda f: endpoints.take(f, axis=0).ravel(), np.zeros(g.n, dtype=bool), v)
-    strong = _sweep(lambda f: _rows(rev_indptr, rev_tails, f), ~closure, v).all()
+    closure = np.zeros(g.n, dtype=bool)
+    rev_tails = _reverse_tails(
+        endpoints, dtype, lambda: _sweep(lambda f: endpoints.take(f, axis=0).ravel(), closure, v)
+    )
+    strong = _sweep_back(endpoints, rev_indptr, rev_tails, ~closure, v).all()
     del rev_indptr, rev_tails
     one_in_core = _members(core, dtype)
     sink = closure if strong else np.zeros(g.n, dtype=bool)

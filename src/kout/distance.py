@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import KOutDigraph, RngSpec, _check_int, _indegree, generate
-from .decompose import _distinct, _rows, _sweep
+from .decompose import _distinct, _rows, _sweep, _sweep_back
 
 __all__ = [
     "DistanceSample",
@@ -123,8 +123,7 @@ def is_strongly_connected(g: KOutDigraph) -> bool:
     )
     if not forward.all():
         return False
-    indptr, tails = g.reverse_csr
-    backward = _sweep(lambda f: _rows(indptr, tails, f), np.zeros(g.n, dtype=bool), 0)
+    backward = _sweep_back(g.endpoints, *g.reverse_csr, np.zeros(g.n, dtype=bool), 0)
     return bool(backward.all())
 
 

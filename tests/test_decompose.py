@@ -1,9 +1,12 @@
 import contextlib
 import importlib
 import io
+import itertools
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -15,8 +18,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import digraph_from_rows, endpoint_tables
+from kout import digraph
 from kout.decompose import (
+    _rows,
     _scc_labels,
+    _sweep,
+    _sweep_back,
     condense,
     decompose,
     giant,
@@ -203,26 +210,23 @@ def test_monte_carlo_giant_density():
 # SCC and is the giant.  On the first two paths F is not the giant, so after
 # the call that labels the components, the view outside the giant is built
 # once more, with the giant as its sink.
-@pytest.mark.parametrize(
-    "rows, sinks, giant_set",
-    [
-        ([(1, 1), (2, 2), (0, 3), (3, 3)], [[], [3]], [3]),
-        # {0, 1} is a 2-cycle that no other vertex enters, above the giant
-        (
-            [(1, 2), (0, 0), (3, 3), (4, 2), (5, 5), (2, 6), (2, 7), (6, 6), (3, 6), (9, 9)],
-            [[], [2, 3, 4, 5, 6, 7]],
-            [2, 3, 4, 5, 6, 7],
-        ),
-        ([(0, 0), (2, 2), (3, 3), (1, 1)], [[0], [1, 2, 3]], [1, 2, 3]),
-        ([(1, 1), (2, 2), (0, 0), (0, 1)], [[0, 1, 2]], [0, 1, 2]),
-    ],
-    ids=[
-        "closure-not-strong",
-        "smallest-2-cycle-not-entered",
-        "absorbing-closure-not-giant",
-        "closure-is-giant",
-    ],
-)
+PATH_CASES = [
+    pytest.param([(1, 1), (2, 2), (0, 3), (3, 3)], [[], [3]], [3], id="closure-not-strong"),
+    # {0, 1} is a 2-cycle that no other vertex enters, above the giant
+    pytest.param(
+        [(1, 2), (0, 0), (3, 3), (4, 2), (5, 5), (2, 6), (2, 7), (6, 6), (3, 6), (9, 9)],
+        [[], [2, 3, 4, 5, 6, 7]],
+        [2, 3, 4, 5, 6, 7],
+        id="smallest-2-cycle-not-entered",
+    ),
+    pytest.param(
+        [(0, 0), (2, 2), (3, 3), (1, 1)], [[0], [1, 2, 3]], [1, 2, 3], id="absorbing-closure-not-giant"
+    ),
+    pytest.param([(1, 1), (2, 2), (0, 0), (0, 1)], [[0, 1, 2]], [0, 1, 2], id="closure-is-giant"),
+]
+
+
+@pytest.mark.parametrize("rows, sinks, giant_set", PATH_CASES)
 def test_decompose_paths_match_brute(rows, sinks, giant_set):
     g = digraph_from_rows(rows)
     with (
@@ -481,6 +485,167 @@ def test_decompose_sees_a_strong_closure_on_an_int32_table():
         d = decompose(g)
     assert len(spy.call_args_list) == 1
     assert np.array_equal(np.flatnonzero(spy.call_args.args[2]), d.giant)
+
+
+
+# The backward sweep from v over the forward closure F of v: pushes over the
+# reverse CSR while the frontier is the shorter list, pulls over the
+# out-table once the rows of F still waiting are.  Its marks must be those
+# of a push-only sweep, for every start vertex.
+def _assert_sweep_back_matches_push(endpoints: np.ndarray) -> None:
+    n = endpoints.shape[0]
+    indptr, tails = KOutDigraph(n, endpoints.shape[1], endpoints).reverse_csr
+    for v in range(n):
+        closure = _sweep(lambda f: endpoints.take(f, axis=0).ravel(), np.zeros(n, dtype=bool), v)
+        want = _sweep(lambda f: _rows(indptr, tails, f), ~closure, v)
+        got = _sweep_back(endpoints, indptr, tails, ~closure, v)
+        assert np.array_equal(got, want), (endpoints.tolist(), v)
+        assert got.all() == want.all()
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (2, 3), (4, 1)])
+def test_sweep_back_matches_push_on_every_small_table(n, k):
+    for flat in itertools.product(range(n), repeat=n * k):
+        _assert_sweep_back_matches_push(np.array(flat).reshape(n, k))
+
+
+def test_sweep_back_matches_push_on_random_tables():
+    gen = np.random.default_rng(20261020)
+    for _ in range(1000):
+        n, k = int(gen.integers(1, 13)), int(gen.integers(1, 4))
+        _assert_sweep_back_matches_push(gen.integers(0, n, size=(n, k)))
+
+
+@pytest.mark.parametrize("rows", [c.values[0] for c in PATH_CASES], ids=[c.id for c in PATH_CASES])
+def test_sweep_back_matches_push_on_the_hand_built_paths(rows):
+    _assert_sweep_back_matches_push(np.array(rows))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(v + 1,) for v in range(59)] + [(59,)],  # a chain into a self-loop
+        [((v + 1) % 60,) for v in range(60)],  # one cycle
+        # a 3-cycle with three chains of 19 into it
+        [((v + 1) % 3,) for v in range(3)] + [(v + 1 if (v - 2) % 19 else 0,) for v in range(3, 60)],
+    ],
+    ids=["chain", "cycle", "broom"],
+)
+def test_sweep_back_matches_push_on_k1_chains(rows):
+    _assert_sweep_back_matches_push(np.array(rows))
+
+
+def test_backward_sweep_pushes_first_and_pulls_last_at_100k():
+    g = generate(100_000, 2, RngSpec(20261020, 0))
+    rounds: list[str] = []
+    sweep_back, rows, by_row = (
+        decompose_module._sweep_back,
+        decompose_module._rows,
+        decompose_module._by_row,
+    )
+    active = []
+
+    def push(*args):
+        if active:
+            rounds.append("push")
+        return rows(*args)
+
+    def pull(ufunc, *args):
+        if active:
+            rounds.append("pull")
+        return by_row(ufunc, *args)
+
+    def spy(*args):
+        active.append(True)
+        try:
+            return sweep_back(*args)
+        finally:
+            active.clear()
+
+    with (
+        mock.patch.object(decompose_module, "_sweep_back", spy),
+        mock.patch.object(decompose_module, "_rows", push),
+        mock.patch.object(decompose_module, "_by_row", pull),
+        mock.patch.object(decompose_module, "_rest", wraps=decompose_module._rest) as rest,
+    ):
+        d = decompose(g)
+    assert rest.call_count == 1  # the closure was found strong: it is the giant
+    assert rounds[0] == "push" and rounds[-1] == "pull", rounds
+    assert np.array_equal(d.giant, np.flatnonzero(rest.call_args.args[2]))
+
+
+# From n * k = SORT_HELPER_MIN the reverse keys sort on a helper thread
+# while decompose finds the forward closure.
+def _assert_same_decomposition(a, b) -> None:
+    for name in ("scc_id", "height", "giant", "one_in_core", "all_reach_giant"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("vertices", "indptr", "indices", "comp", "height", "dist"):
+        x, y = getattr(a.view, name), getattr(b.view, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@pytest.fixture
+def helper_spy(monkeypatch):
+    """Count the calls that run the sort on a helper thread."""
+    spy = mock.Mock(wraps=digraph._concurrently)
+    monkeypatch.setattr(digraph, "_concurrently", spy)
+    return spy
+
+
+def test_a_failing_sort_on_the_helper_raises_from_decompose(monkeypatch, helper_spy):
+    monkeypatch.setattr(digraph, "SORT_HELPER_MIN", 0)
+
+    def failing(work, beside):
+        def sort():
+            raise MemoryError("sort failed")
+
+        return helper_spy(sort, beside)
+
+    monkeypatch.setattr(digraph, "_concurrently", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="sort failed"):
+        decompose(generate(3000, 2, RngSpec(5, 1)))
+    assert helper_spy.call_count == 1
+    assert threading.active_count() == before
+
+
+def test_decompose_leaves_no_thread_behind(monkeypatch, helper_spy):
+    monkeypatch.setattr(digraph, "SORT_HELPER_MIN", 0)
+    concurrently = digraph._concurrently
+
+    def slow(work, beside):
+        # the helper outlasts the closure, so only a join ends it in time
+        def late():
+            time.sleep(0.2)
+            work()
+
+        return concurrently(late, beside)
+
+    monkeypatch.setattr(digraph, "_concurrently", slow)
+    g = generate(3000, 2, RngSpec(5, 2))
+    before = threading.active_count()
+    decompose(g)
+    assert helper_spy.call_count == 1 and threading.active_count() == before
+
+    def failing(*args):
+        raise ValueError("closure failed")
+
+    monkeypatch.setattr(decompose_module, "_sweep", failing)
+    with pytest.raises(ValueError, match="closure failed"):
+        decompose(g)
+    assert helper_spy.call_count == 2 and threading.active_count() == before
+
+
+@pytest.mark.parametrize("side", [-1, 0], ids=["below", "at"])
+def test_tables_either_side_of_the_helper_gate_decompose_the_same(monkeypatch, helper_spy, side):
+    k = 2
+    g = generate(digraph.SORT_HELPER_MIN // k + side, k, RngSpec(20261020, 1))
+    got = decompose(g)
+    assert helper_spy.call_count == (side >= 0)
+    # the same table with the helper forced on below the gate, off above it
+    monkeypatch.setattr(digraph, "SORT_HELPER_MIN", 0 if side < 0 else 2**62)
+    _assert_same_decomposition(got, decompose(g))
+    assert helper_spy.call_count == 1
 
 
 # The library never imports scipy; the tests use it as a reference, so this

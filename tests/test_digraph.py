@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from collections import Counter
@@ -165,6 +166,15 @@ def test_reverse_csr_keys_do_not_wrap_on_an_int32_table():
     indptr, tails = KOutDigraph(n, k, endpoints).reverse_csr
     assert np.array_equal(indptr, _row_pointers(_indegree(endpoints)))
     assert tails.dtype == np.int64 and np.array_equal(tails, want)
+
+
+def test_reverse_csr_bytes_are_pinned_at_100k():
+    # the input of every pair search on the digraph of perfbench's distance-1e5
+    g = generate(100_000, 2, RngSpec(150406240, 0))
+    indptr, tails = g.reverse_csr
+    assert indptr.dtype == tails.dtype == np.int64
+    digest = hashlib.sha256(indptr.tobytes() + tails.tobytes()).hexdigest()
+    assert digest == "983001a21ac6396386504cba494b6beb75c562b25c2bea65973847a2bb9333e9"
 
 
 def test_index_dtype_is_int32_on_large_tables_while_every_arc_index_fits():
