@@ -21,14 +21,13 @@ Let v be the smallest vertex of the one-in-core and F its forward closure,
 found by a level-synchronous BFS.  A backward BFS from v (``_sweep_back``)
 decides whether every vertex of F reaches v, that is, whether F is one
 closed SCC; whp it is, and it is the giant.  Its first rounds push over a
-reverse CSR, built for the check and dropped after it (its row pointers are
-the in-degree count the core peel starts from); once the rows of F still
-waiting are fewer than the frontier, its rounds pull over the out-table
-instead.  On large tables the reverse keys sort on a helper thread while F
-is found (``digraph.SORT_HELPER_MIN``); the helper is joined before the keys
-become tails, and no thread outlives the call.  F is
-closed, so every other SCC lies outside it, and every cycle lies in the
-one-in-core, so only the core vertices outside F can share a component.
+reverse CSR of the arcs out of the one-in-core, which holds F, built for
+the check and dropped after it (its row pointers are the in-degree count
+that the core peel lowered to the arcs from the core); once the rows of F
+still waiting are at most ``PULL_RATIO`` times the frontier, its rounds
+pull over the out-table instead.  F is closed, so every other SCC lies
+outside it, and every cycle lies in the one-in-core, so only the core
+vertices outside F can share a component.
 ``_scc_labels``, an iterative Tarjan (1972) search in pure Python, labels
 just those: whp a few vertices, in microseconds; three in four replicates
 at n = 2*10^4 have fewer than two and make no call.
@@ -85,6 +84,13 @@ __all__ = [
     "layers",
     "decompose",
 ]
+
+# _sweep_back pulls once the waiting rows are at most this many times the
+# frontier: a pull reads k heads per waiting row and sorts nothing, a push
+# gathers the frontier's in-arcs and sorts the new tails.  At n = 10^6 the
+# sweep took 60 ms with a ratio of 1 and 46 ms at 3 to 6 (k = 2; 54 and
+# 39-40 ms at k = 3)
+PULL_RATIO = 4
 
 
 @dataclass
@@ -271,8 +277,7 @@ def _sweep(
 ) -> np.ndarray:
     """Level-synchronous BFS from v that marks in ``seen`` every node v
     reaches through unmarked nodes; ``rows_of(frontier)`` lists the heads of
-    the frontier's arcs.  Returns ``seen``.  Every caller sweeps forward;
-    backward sweeps go through ``_sweep_back``."""
+    the frontier's arcs.  Returns ``seen``."""
     seen[v] = True
     frontier = np.array([v])
     while frontier.size:
@@ -286,26 +291,31 @@ def _sweep_back(
     table: np.ndarray, indptr: np.ndarray, tails: np.ndarray, seen: np.ndarray, v: int
 ) -> np.ndarray:
     """Level-synchronous BFS from v against the arcs of the out-table
-    ``table``, whose reverse CSR is (``indptr``, ``tails``): marks in
-    ``seen`` every node that reaches v through unmarked nodes.  The unmarked
-    nodes must be closed under the table's arcs (a forward closure), so that
-    a marked head of an unmarked row is one reached by the sweep.
+    ``table``: marks in ``seen`` every node that reaches v through unmarked
+    nodes.  (``indptr``, ``tails``) is the reverse CSR of the table's arcs
+    out of a set of rows that holds every unmarked one.  The unmarked nodes
+    must be closed under the table's arcs (a forward closure), so that a
+    marked head of an unmarked row is one reached by the sweep.
 
     Each round pushes from the frontier over the reverse CSR, or pulls over
-    the rows still waiting (a row is reached once any of its heads is),
-    whichever list is shorter, the rule of ``_pull`` and of Beamer, Asanovic
-    & Patterson's direction-optimizing BFS (SC 2012).  A pull thus costs at
-    most the frontier before it, so the sweep stays linear in rows plus
-    arcs.  The first rounds push; the last ones, where the frontier
-    outnumbers the few rows left, pull.  Returns ``seen``."""
+    the rows still waiting (a row is reached once any of its heads is), as
+    in Beamer, Asanovic & Patterson's direction-optimizing BFS (SC 2012).
+    It pulls once the waiting rows are at most ``PULL_RATIO`` times the
+    frontier.  The first pull lists the waiting rows with one pass over all
+    of ``seen``; each later pull costs at most ``PULL_RATIO`` times the
+    frontier before it, so the sweep stays linear in rows plus arcs.  The
+    first rounds push; the last ones, where the frontier is a large share
+    of the few rows left, pull.  Returns ``seen``."""
     seen[v] = True
     left = seen.size - np.count_nonzero(seen)  # the rows still waiting
     frontier = np.array([v])
     todo = None  # the waiting rows, listed at the first pull
     while frontier.size and left:
-        if left <= frontier.size:
+        if left <= PULL_RATIO * frontier.size:
             todo = np.flatnonzero(~seen) if todo is None else todo.compress(~seen.take(todo))
-            hit = _by_row(np.logical_or, seen.take(table.take(todo, axis=0)))
+            # indexing, unlike take, casts int32 heads to intp a buffer at a
+            # time, not as one whole copy (VmHWM 395 against 459 MB at 10^7)
+            hit = _by_row(np.logical_or, seen[table.take(todo, axis=0)])
             frontier = todo.compress(hit)
             todo = todo.compress(~hit)
         else:
@@ -548,20 +558,19 @@ def decompose(g: KOutDigraph) -> Decomposition:
     endpoints = g.endpoints
     dtype = _index_dtype(g.n, g.k)
     indeg = _indegree(endpoints)
-    rev_indptr = _row_pointers(indeg, dtype)
     core = _core_mask(endpoints, indeg)
+    one_in_core = _members(core, dtype)
+    # the closure lies in the one-in-core, so the backward sweep needs only
+    # the arcs out of it: the peel left their count in indeg.  Peak memory:
+    # build the reverse CSR where the least freed heap is held, before the
+    # closure and before _rest
+    rev_indptr = _row_pointers(indeg, dtype)
     del indeg
-    # peak memory: build the reverse keys where the least freed heap is held,
-    # after the peel and before _rest; on large tables they sort on a helper
-    # thread while this one finds the forward closure
+    rev_tails = _reverse_tails(endpoints, dtype, one_in_core)
     v = int(np.argmax(core))
-    closure = np.zeros(g.n, dtype=bool)
-    rev_tails = _reverse_tails(
-        endpoints, dtype, lambda: _sweep(lambda f: endpoints.take(f, axis=0).ravel(), closure, v)
-    )
+    closure = _sweep(lambda f: endpoints.take(f, axis=0).ravel(), np.zeros(g.n, dtype=bool), v)
     strong = _sweep_back(endpoints, rev_indptr, rev_tails, ~closure, v).all()
     del rev_indptr, rev_tails
-    one_in_core = _members(core, dtype)
     sink = closure if strong else np.zeros(g.n, dtype=bool)
     rest = _rest(endpoints, core, sink)
     # the sink, if any, is component 0: its height is 0, and every other

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import json
 import struct
-import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -45,9 +43,6 @@ __all__ = [
 
 MAGIC = b"KOUT1"
 SIMPLE_ATTEMPT_CAP = 1_000_000
-# n * k from which _reverse_tails sorts its keys on a helper thread while the
-# caller's ``beside`` runs
-SORT_HELPER_MIN = 1 << 19
 
 
 def _check_int(name: str, value, minimum: int = 0, bits: int | None = None) -> int:
@@ -155,12 +150,12 @@ def _row_pointers(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
     return indptr
 
 
-def _reverse_tails(
-    endpoints: np.ndarray, dtype, beside: Callable[[], object] | None = None
-) -> np.ndarray:
+def _reverse_tails(endpoints: np.ndarray, dtype, rows: np.ndarray | None = None) -> np.ndarray:
     """Tails of the reversed out-table, as ``dtype``, grouped by head and
     ascending in each row; its row pointers are
-    ``_row_pointers(_indegree(endpoints))``.  Sorting the keys
+    ``_row_pointers(_indegree(endpoints))``.  Given the vertex ids ``rows``,
+    only the arcs out of those rows are kept, and the row pointers
+    are those of the in-degrees from them.  Sorting the keys
     ``head << s | tail`` (s the bit length of n - 1) with numpy's vectorized
     sort beats scipy's CSR -> CSC counting sort at n = 10^6 (whose scattered
     writes miss the cache) and costs far less per call at small n.  The keys
@@ -168,52 +163,19 @@ def _reverse_tails(
     and fit while n <= 2**31.  A shift and a mask in place of keys
     ``head * n + tail`` and their remainder order the rows the same way and
     take 36.8 against 43.1 ms on an int32 table at n = 10^6, k = 2 (medians
-    of 15 calls on a 2-core host).
-
-    ``beside()``, if given, runs after the keys are built and before they
-    are masked into tails.  From n * k = ``SORT_HELPER_MIN`` (read at call
-    time) the in-place sort, which allocates nothing and releases the GIL,
-    runs on a helper thread meanwhile; the helper is joined before this
-    returns or raises, and an error of the sort is raised here.  Below it
-    the sort and ``beside()`` run one after the other, since starting a
-    thread costs more than the overlap saves and, on a worker pool, the
-    helper competes with the other workers."""
+    of 15 calls on a 2-core host)."""
     n = endpoints.shape[0]
     s = (n - 1).bit_length()
-    keys = np.left_shift(endpoints, s, dtype=np.int64)
-    keys |= np.arange(n)[:, None]
-    keys = keys.ravel()
-    if beside is not None and keys.size >= SORT_HELPER_MIN:
-        _concurrently(keys.sort, beside)
+    if rows is None:
+        keys = np.left_shift(endpoints, s, dtype=np.int64)
+        keys |= np.arange(n)[:, None]
     else:
-        keys.sort()
-        if beside is not None:
-            beside()
+        keys = np.left_shift(endpoints.take(rows, axis=0), s, dtype=np.int64)
+        keys |= rows[:, None]
+    keys = keys.ravel()
+    keys.sort()
     tails = keys if keys.dtype == dtype else np.empty(keys.size, dtype=dtype)
     return np.bitwise_and(keys, (1 << s) - 1, out=tails, casting="unsafe")
-
-
-def _concurrently(work: Callable[[], object], beside: Callable[[], object]) -> None:
-    """Run ``work()`` on a helper thread while ``beside()`` runs on this one.
-    The helper is joined in a ``finally``, so no thread outlives the call
-    (a thread alive at a fork would be lost in the child); an error of
-    ``beside`` wins, and otherwise one of ``work`` is raised here."""
-    failed: list[BaseException] = []
-
-    def run() -> None:
-        try:
-            work()
-        except BaseException as exc:
-            failed.append(exc)
-
-    helper = threading.Thread(target=run, name="kout-sort")
-    helper.start()
-    try:
-        beside()
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
 
 
 def _random_endpoints(n: int, k: int, gen: np.random.Generator) -> np.ndarray:

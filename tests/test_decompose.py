@@ -5,8 +5,6 @@ import itertools
 import os
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +16,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import digraph_from_rows, endpoint_tables
-from kout import digraph
 from kout.decompose import (
     _rows,
     _scc_labels,
@@ -220,7 +217,10 @@ PATH_CASES = [
         id="smallest-2-cycle-not-entered",
     ),
     pytest.param(
-        [(0, 0), (2, 2), (3, 3), (1, 1)], [[0], [1, 2, 3]], [1, 2, 3], id="absorbing-closure-not-giant"
+        [(0, 0), (2, 2), (3, 3), (1, 1)],
+        [[0], [1, 2, 3]],
+        [1, 2, 3],
+        id="absorbing-closure-not-giant",
     ),
     pytest.param([(1, 1), (2, 2), (0, 0), (0, 1)], [[0, 1, 2]], [0, 1, 2], id="closure-is-giant"),
 ]
@@ -327,8 +327,8 @@ def test_long_heights_look_at_each_row_a_bounded_number_of_times():
 
 
 def test_decompose_counts_in_degrees_once():
-    # the reverse CSR's row pointers come from the count, and then the core
-    # peel lowers that same count in place
+    # the core peel lowers the count in place, and the lowered count gives
+    # the row pointers of the reverse CSR of the arcs out of the core
     g = generate(2000, 2, RngSpec(13, 2))
     indeg = np.bincount(g.endpoints.ravel(), minlength=g.n)
     counts, pointers = [], []
@@ -354,7 +354,8 @@ def test_decompose_counts_in_degrees_once():
     assert core.call_args.args[1] is counts[0]
     # lowered by the peel: only the core keeps in-arcs from survivors
     assert (counts[0][d.one_in_core] > 0).all() and counts[0].sum() < indeg.sum()
-    assert np.array_equal(pointers[0], np.concatenate([[0], np.cumsum(indeg)]))
+    from_core = np.bincount(g.endpoints[d.one_in_core].ravel(), minlength=g.n)
+    assert np.array_equal(pointers[0], np.concatenate([[0], np.cumsum(from_core)]))
 
 
 def _partition(ncomp: int, labels: np.ndarray) -> list[tuple[int, ...]]:
@@ -487,7 +488,6 @@ def test_decompose_sees_a_strong_closure_on_an_int32_table():
     assert np.array_equal(np.flatnonzero(spy.call_args.args[2]), d.giant)
 
 
-
 # The backward sweep from v over the forward closure F of v: pushes over the
 # reverse CSR while the frontier is the shorter list, pulls over the
 # out-table once the rows of F still waiting are.  Its marks must be those
@@ -527,7 +527,8 @@ def test_sweep_back_matches_push_on_the_hand_built_paths(rows):
         [(v + 1,) for v in range(59)] + [(59,)],  # a chain into a self-loop
         [((v + 1) % 60,) for v in range(60)],  # one cycle
         # a 3-cycle with three chains of 19 into it
-        [((v + 1) % 3,) for v in range(3)] + [(v + 1 if (v - 2) % 19 else 0,) for v in range(3, 60)],
+        [((v + 1) % 3,) for v in range(3)]
+        + [(v + 1 if (v - 2) % 19 else 0,) for v in range(3, 60)],
     ],
     ids=["chain", "cycle", "broom"],
 )
@@ -572,80 +573,6 @@ def test_backward_sweep_pushes_first_and_pulls_last_at_100k():
     assert rest.call_count == 1  # the closure was found strong: it is the giant
     assert rounds[0] == "push" and rounds[-1] == "pull", rounds
     assert np.array_equal(d.giant, np.flatnonzero(rest.call_args.args[2]))
-
-
-# From n * k = SORT_HELPER_MIN the reverse keys sort on a helper thread
-# while decompose finds the forward closure.
-def _assert_same_decomposition(a, b) -> None:
-    for name in ("scc_id", "height", "giant", "one_in_core", "all_reach_giant"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for name in ("vertices", "indptr", "indices", "comp", "height", "dist"):
-        x, y = getattr(a.view, name), getattr(b.view, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
-
-
-@pytest.fixture
-def helper_spy(monkeypatch):
-    """Count the calls that run the sort on a helper thread."""
-    spy = mock.Mock(wraps=digraph._concurrently)
-    monkeypatch.setattr(digraph, "_concurrently", spy)
-    return spy
-
-
-def test_a_failing_sort_on_the_helper_raises_from_decompose(monkeypatch, helper_spy):
-    monkeypatch.setattr(digraph, "SORT_HELPER_MIN", 0)
-
-    def failing(work, beside):
-        def sort():
-            raise MemoryError("sort failed")
-
-        return helper_spy(sort, beside)
-
-    monkeypatch.setattr(digraph, "_concurrently", failing)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="sort failed"):
-        decompose(generate(3000, 2, RngSpec(5, 1)))
-    assert helper_spy.call_count == 1
-    assert threading.active_count() == before
-
-
-def test_decompose_leaves_no_thread_behind(monkeypatch, helper_spy):
-    monkeypatch.setattr(digraph, "SORT_HELPER_MIN", 0)
-    concurrently = digraph._concurrently
-
-    def slow(work, beside):
-        # the helper outlasts the closure, so only a join ends it in time
-        def late():
-            time.sleep(0.2)
-            work()
-
-        return concurrently(late, beside)
-
-    monkeypatch.setattr(digraph, "_concurrently", slow)
-    g = generate(3000, 2, RngSpec(5, 2))
-    before = threading.active_count()
-    decompose(g)
-    assert helper_spy.call_count == 1 and threading.active_count() == before
-
-    def failing(*args):
-        raise ValueError("closure failed")
-
-    monkeypatch.setattr(decompose_module, "_sweep", failing)
-    with pytest.raises(ValueError, match="closure failed"):
-        decompose(g)
-    assert helper_spy.call_count == 2 and threading.active_count() == before
-
-
-@pytest.mark.parametrize("side", [-1, 0], ids=["below", "at"])
-def test_tables_either_side_of_the_helper_gate_decompose_the_same(monkeypatch, helper_spy, side):
-    k = 2
-    g = generate(digraph.SORT_HELPER_MIN // k + side, k, RngSpec(20261020, 1))
-    got = decompose(g)
-    assert helper_spy.call_count == (side >= 0)
-    # the same table with the helper forced on below the gate, off above it
-    monkeypatch.setattr(digraph, "SORT_HELPER_MIN", 0 if side < 0 else 2**62)
-    _assert_same_decomposition(got, decompose(g))
-    assert helper_spy.call_count == 1
 
 
 # The library never imports scipy; the tests use it as a reference, so this

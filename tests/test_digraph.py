@@ -168,6 +168,22 @@ def test_reverse_csr_keys_do_not_wrap_on_an_int32_table():
     assert tails.dtype == np.int64 and np.array_equal(tails, want)
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (50_000, 2)])
+def test_reverse_tails_of_chosen_rows_keep_only_their_arcs(n, k):
+    endpoints = generate(n, k, RngSpec(24, n)).endpoints
+    gen = np.random.default_rng(n)
+    for rows in (np.arange(0), np.flatnonzero(gen.random(n) < 0.7), np.arange(n)):
+        rows = rows.astype(endpoints.dtype)
+        for dtype in (np.int32, np.int64):
+            tails = _reverse_tails(endpoints, dtype, rows)
+            full = _reverse_tails(endpoints, dtype)
+            assert tails.dtype == dtype
+            assert np.array_equal(tails, full[np.isin(full, rows)])
+            # its row pointers are those of the in-degrees from the rows
+            counts = np.bincount(endpoints[rows].ravel(), minlength=n)
+            assert tails.size == counts.sum()
+
+
 def test_reverse_csr_bytes_are_pinned_at_100k():
     # the input of every pair search on the digraph of perfbench's distance-1e5
     g = generate(100_000, 2, RngSpec(150406240, 0))

@@ -11,7 +11,7 @@ from multiprocessing.connection import wait
 import numpy as np
 import pytest
 
-from kout import digraph, errors, harness, outside
+from kout import errors, harness, outside
 from kout.constants import derive_constants
 from kout.decompose import decompose
 from kout.digraph import RngSpec, generate
@@ -378,15 +378,6 @@ def test_replicate_error_cancels_the_chunks_not_started(monkeypatch):
     # and with the cap restored, a new pool gives the serial records
     monkeypatch.undo()
     assert _stripped(run_experiment(cfg, workers=2)) == _stripped(run_experiment(cfg, workers=1))
-
-
-def test_forked_workers_above_the_sort_helper_gate_give_the_serial_records():
-    # each worker's decompose sorts the reverse keys on a helper thread,
-    # joined before decompose returns
-    cfg = ExperimentConfig(n=digraph.SORT_HELPER_MIN // 2 + 1000, k=2, reps=4, seed=24)
-    parallel = run_experiment(cfg, workers=2)
-    assert harness._pool._mp_context.get_start_method() == "fork"
-    assert _stripped(parallel) == _stripped(run_experiment(cfg, workers=1))
 
 
 def test_killed_worker_breaks_one_call_only():
