@@ -183,10 +183,13 @@ def _random_endpoints(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
 
 
 def generate(n: int, k: int, rng: RngSpec) -> KOutDigraph:
-    """Draw every arc endpoint i.i.d. uniform on [0, n)."""
+    """Draw every arc endpoint i.i.d. uniform on [0, n), straight into the
+    index dtype: numpy draws a range below 2**32 by one 32-bit path for int32
+    and int64 output alike, so the values equal an int64 draw's."""
     _check_int("n", n, 1)
     _check_int("k", k, 1)
-    return KOutDigraph(n, k, _random_endpoints(n, k, rng.generator()))
+    ep = rng.generator().integers(0, n, size=(n, k), dtype=_index_dtype(n, k))
+    return KOutDigraph(n, k, ep)
 
 
 def generate_simple(n: int, k: int, rng: RngSpec) -> tuple[KOutDigraph, int]:

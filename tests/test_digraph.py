@@ -45,6 +45,18 @@ def test_generate_deterministic():
     assert a != c  # overwhelmingly likely; frozen by the seed
 
 
+@pytest.mark.parametrize(
+    "n, k", [(32767, 2), (32768, 2), (21845, 3), (21846, 3), (65535, 1), (65537, 1), (99991, 3)]
+)
+def test_generate_draws_the_int64_values_in_the_index_dtype(n, k):
+    # n * k = 2**16 is where the index dtype turns from int64 to int32
+    spec = RngSpec(41, 3)
+    g = generate(n, k, spec)
+    want = spec.generator().integers(0, n, size=(n, k), dtype=np.int64)
+    assert g.endpoints.dtype == (np.int32 if n * k >= 2**16 else np.int64)
+    assert np.array_equal(g.endpoints, want)
+
+
 def test_generate_rejects_bad_sizes():
     with pytest.raises(ValueError):
         generate(0, 2, RngSpec(1))

@@ -1,3 +1,4 @@
+import importlib
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import digraph_from_rows, endpoint_tables
 from kout import digraph
-from kout.decompose import giant, one_in_core
+from kout.decompose import _distinct, _rows, giant, one_in_core
 from kout.digraph import KOutDigraph, RngSpec, generate
 from kout.distance import (
     _PairSearch,
@@ -16,6 +17,8 @@ from kout.distance import (
     typical_distance,
 )
 from kout.oracle import brute_distance
+
+distance = importlib.import_module("kout.distance")
 
 
 def test_typical_distance_3cycle(rows_3cycle):
@@ -121,14 +124,14 @@ def test_typical_distance_matches_bfs_small():
 @settings(max_examples=150)
 @given(endpoint_tables(max_n=9, max_k=3))
 def test_pair_search_matches_brute_distance(rows):
-    # one search object answers every ordered pair, so a label left over from
+    # one search object answers every ordered pair, so a mark left over from
     # an earlier pair would show up as a wrong distance
     search = _PairSearch(digraph_from_rows(rows))
     n = len(rows)
     for src in range(n):
         for dst in range(n):
             assert search(src, dst) == brute_distance(rows, src, dst), (src, dst)
-    assert (search.labels[0] == -1).all() and (search.labels[1] == -1).all()
+    assert not search.marks.any()
 
 
 def test_int32_and_int64_tables_give_the_same_distance_sample():
@@ -139,3 +142,95 @@ def test_int32_and_int64_tables_give_the_same_distance_sample():
     narrow_sample = typical_distance(g, 300, RngSpec(5))
     assert narrow_sample.finite_count > 200
     assert typical_distance(wide, 300, RngSpec(5)) == narrow_sample
+
+
+def ladder(layers):
+    """k = 2 rows of a ladder: layer i holds vertices 2i and 2i + 1, and both
+    arcs of each go to both vertices of layer i + 1, so the number of
+    shortest paths doubles at every layer; the last layer points at itself."""
+    rows = [(2 * i + 2, 2 * i + 3) for i in range(layers - 1) for _ in range(2)]
+    return rows + [(2 * layers - 2, 2 * layers - 1)] * 2
+
+
+def spy_on_expansions(search, monkeypatch):
+    """Record (front entries, reached entries) of every expansion of either
+    side of ``search``, failing at once on more than n * k entries (so that a
+    level growing without bound stops the test, not the host)."""
+    sizes = []
+    limit = search.endpoints.size
+
+    class Table:
+        def take(self, front, axis):
+            reached = table.take(front, axis=axis)
+            sizes.append((front.size, reached.size))
+            assert reached.size <= limit, sizes
+            return reached
+
+    def rows(indptr, indices, front):
+        reached = _rows(indptr, indices, front)
+        sizes.append((front.size, reached.size))
+        assert reached.size <= limit, sizes
+        return reached
+
+    table = search.endpoints
+    monkeypatch.setattr(search, "endpoints", Table())
+    monkeypatch.setattr(distance, "_rows", rows)
+    return sizes
+
+
+def test_ladder_levels_stay_within_n_k_entries(monkeypatch):
+    # without deduplication a level of the ladder would double every step:
+    # 2**12 entries where the two sides meet, against n * k = 96
+    rows = ladder(24)
+    g = digraph_from_rows(rows)
+    search = _PairSearch(g)
+    sizes = spy_on_expansions(search, monkeypatch)
+    for src in range(g.n):
+        for dst in range(g.n):
+            assert search(src, dst) == brute_distance(rows, src, dst), (src, dst)
+    assert search(0, g.n - 1) == 23
+    assert max(reached for _, reached in sizes) > 2 * g.k
+
+
+def test_a_search_does_o_of_n_k_work_on_a_long_ladder(monkeypatch):
+    # levels that each stay under n entries would still cost about n entries
+    # every log2 n levels along a ladder of n / 2 layers
+    g = digraph_from_rows(ladder(1000))
+    search = _PairSearch(g)
+    sizes = spy_on_expansions(search, monkeypatch)
+    assert search(0, g.n - 1) == 999
+    # each side: at most n * k before it deduplicates and n * k after
+    assert sum(reached for _, reached in sizes) <= 4 * g.n * g.k
+
+
+def test_backward_expansion_stays_within_n_k_entries_at_a_hub(monkeypatch):
+    # dst ends a 10-layer ladder whose first layer {0, 1} is a hub of in-degree
+    # 1000 each, so the backward level holding 0 and 1 lists each 256 times;
+    # src roots a binary tree of depth 10 whose levels stay wider than the
+    # backward ones, so the backward side does reach the hub (and no further:
+    # the tree's leaves lead back to src and the pair is unreachable)
+    rows = [row if i < 18 else (i, i) for i, row in enumerate(ladder(10))]
+    tree = len(rows)
+    rows += [(tree + 2 * i + 1, tree + 2 * i + 2) for i in range(2**10 - 1)]
+    rows += [(tree, tree)] * 2**10
+    rows += [(0, 0)] * 500 + [(1, 1)] * 500
+    g = digraph_from_rows(rows)
+    search = _PairSearch(g)
+    sizes = spy_on_expansions(search, monkeypatch)
+    assert search(tree, 18) is None is brute_distance(rows, tree, 18)
+    assert len(sizes) > 20  # both sides ran to depth 10
+
+
+def test_random_pairs_need_no_deduplication(monkeypatch):
+    # in a random digraph the levels stay far below n entries, so no level is
+    # sorted; the distances equal the searches that sort every level
+    g = generate(10_000, 2, RngSpec(3, 1))
+    rows = g.endpoints.tolist()
+    search = _PairSearch(g)
+    pairs = RngSpec(4).generator().integers(0, g.n, size=(200, 2)).tolist()
+    with mock.patch.object(distance, "_distinct", wraps=_distinct) as spy:
+        got = [search(a, b) for a, b in pairs]
+    assert spy.call_count == 0
+    assert got[:40] == [brute_distance(rows, a, b) for a, b in pairs[:40]]
+    monkeypatch.setattr(search, "budget", (0, 0))
+    assert [search(a, b) for a, b in pairs] == got

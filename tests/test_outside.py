@@ -240,6 +240,56 @@ def test_scan_at_merge_vertices_matches_brute(rows):
     assert_scan_matches_brute(rows)
 
 
+# At k = 1 no view vertex has two out-arcs, so the scan takes only cycle
+# vertices (self-loops, nontrivial view SCCs) as merge vertices.  The 5-cycle
+# 0 1 2 3 4 is the giant in each table; the view starts at vertex 5.
+GIANT_5_CYCLE = [(1,), (2,), (3,), (4,), (0,)]
+
+
+@pytest.mark.parametrize(
+    "view_rows",
+    [
+        [(7,), (8,), (6,), (7,)],  # a tail 8 into the 3-cycle 5 6 7
+        [(7,), (8,), (6,), (5,), (8,)],  # a tail of two into the 3-cycle 5 6 7
+        [(6,), (5,), (5,), (5,)],  # two tails into the 2-cycle 5 6
+        [(5,)],  # a lone self-loop
+        [(5,), (5,), (5,), (6,)],  # a self-loop with two tails, one of two arcs
+        [(7,), (7,), (0,)],  # in-degree two off any cycle, out into the giant
+    ],
+    ids=[
+        "tail-into-3-cycle",
+        "long-tail-into-3-cycle",
+        "two-tails-into-2-cycle",
+        "lone-self-loop",
+        "tails-into-self-loop",
+        "merge-off-cycle",
+    ],
+)
+def test_scan_on_k1_views_matches_brute(view_rows):
+    rows = GIANT_5_CYCLE + view_rows
+    assert decompose(digraph_from_rows(rows)).giant.tolist() == [0, 1, 2, 3, 4]
+    assert_scan_matches_brute(rows)
+
+
+@settings(max_examples=80)
+@given(endpoint_tables(max_n=12, max_k=1))
+def test_scan_on_random_k1_tables_matches_brute(rows):
+    assert_scan_matches_brute(rows)
+
+
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_spectra_on_random_k1_digraphs_match_brute(stream):
+    g = generate(150, 1, RngSpec(7, stream))
+    rows = g.endpoints.tolist()
+    g, d, view = make_view(rows)
+    assert view.size > 100
+    assert_scan_matches_brute(rows)
+    _, max_spec, violations = spectra(view)
+    assert max_spec == max(brute_spectrum_sizes(rows, within=outside_set(g, d)).values())
+    # one out-arc a vertex: a closure induces at most as many arcs as it has vertices
+    assert violations == 0
+
+
 @settings(max_examples=60)
 @given(endpoint_tables(max_n=9, max_k=3))
 def test_spectra_match_brute(rows):
