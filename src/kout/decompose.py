@@ -17,38 +17,38 @@ from the ids when asked.  It also keeps the view outside the giant (an
 :class:`OutsideView`), which the statistics of :mod:`kout.outside` run on.
 
 SCCs are found around the giant instead of by one pass over all vertices.
-Let v be the smallest vertex of the one-in-core and F its forward closure,
-found by a level-synchronous BFS.  A backward BFS from v (``_sweep_back``)
-decides whether every vertex of F reaches v, that is, whether F is one
-closed SCC; whp it is, and it is the giant.  Its first rounds push over a
-reverse CSR of the arcs out of the one-in-core, which holds F, built for
-the check and dropped after it (its row pointers are the in-degree count
-that the core peel lowered to the arcs from the core); once the rows of F
-still waiting are at most ``PULL_RATIO`` times the frontier, its rounds
-pull over the out-table instead.  F is closed, so every other SCC lies
-outside it, and every cycle lies in the one-in-core, so only the core
-vertices outside F can share a component.
+Let v be the smallest vertex of the one-in-core and F its forward closure.
+A backward sweep from v decides whether every vertex of F reaches v, that
+is, whether F is one closed SCC; whp it is, and it is the giant.  Both are
+runs of ``_sweep``, a level-synchronous BFS.  The backward one pushes over a
+reverse CSR of the arcs out of the one-in-core, which holds F, built for the
+check and dropped after it (its row pointers are the in-degree count that
+the core peel lowered to the arcs from the core); once the rows of F still
+waiting are at most ``PULL_RATIO`` times the frontier, it pulls over the
+out-table instead.  F is closed, so every other SCC lies outside it, and
+every cycle lies in the one-in-core, so only the core vertices outside F can
+share a component.
 ``_scc_labels``, an iterative Tarjan (1972) search in pure Python, labels
 just those: whp a few vertices, in microseconds; three in four replicates
 at n = 2*10^4 have fewer than two and make no call.
 When F is not one SCC (at small n, or when the largest SCC reaches an
 absorbing vertex), the same steps run without F, and the search labels the
 whole one-in-core.  That fallback is rare at large n, but it costs about
-5 us per core vertex: 4.0 s on a forced fallback at n = 10^6, against
-0.66 s for scipy's compiled pass, which the package no longer loads.  Heights
-come from a pull over the view's own out-table (``_pull``), with F as a sink
-of height 0: in round r a component settles at height r once every arc
-leaving it lands on one settled earlier.  Each vertex's distance to F comes
-from a BFS of the same kind, so W needs no second sweep.  A row whose arcs
-all enter F settles without a look; any other is looked at either in a
-round over every waiting row or as a predecessor of a row settled in the
-round before, whichever list is shorter, so the rounds stay linear in the
-view's rows and arcs even where the heights run to about sqrt(n) (k = 1).
-The one-in-core comes from a peel.  Both are level-synchronous, one numpy
-pass per level, and a random k-out digraph at k >= 2 has O(log n) levels
-whp.  Every vertex reaches some closed
-component, so every vertex reaches the giant iff the giant is the only closed
-component.
+5 us per core vertex, several times scipy's compiled pass, which the package
+no longer loads (``BENCH_20.json``).  Heights come from a pull over the
+view's own out-table (``_pull``), with F as a sink of height 0: in round r a
+component settles at height r once every arc leaving it lands on one settled
+earlier.  A row whose arcs all enter F settles without a look; any other is
+looked at either in a round over every waiting row or as a predecessor of a
+row settled in the round before, whichever list is shorter, so the rounds
+stay linear in the view's rows and arcs even where the heights run to about
+sqrt(n) (k = 1).  Each vertex's distance to F comes from a backward
+``_sweep`` over the same table, from the rows with an arc into F, so W needs
+no second pass over the digraph.  The one-in-core comes from a peel.  The
+peel, the pull and the sweeps are level-synchronous, one numpy pass per
+level, and a random k-out digraph at k >= 2 has O(log n) levels whp.  Every
+vertex reaches some closed component, so every vertex reaches the giant iff
+the giant is the only closed component.
 
 The vertices outside F, with their CSR, ids, heights and distances, are the
 view outside the giant whenever F is the giant.  Otherwise (F is not one
@@ -68,7 +68,7 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -85,11 +85,11 @@ __all__ = [
     "decompose",
 ]
 
-# _sweep_back pulls once the waiting rows are at most this many times the
-# frontier: a pull reads k heads per waiting row and sorts nothing, a push
-# gathers the frontier's in-arcs and sorts the new tails.  At n = 10^6 the
-# sweep took 60 ms with a ratio of 1 and 46 ms at 3 to 6 (k = 2; 54 and
-# 39-40 ms at k = 3)
+# a backward _sweep pulls once the waiting rows are at most this many times
+# the frontier: a pull reads k heads per waiting row and sorts nothing, a
+# push gathers the frontier's in-arcs and sorts the new tails, so a pull row
+# costs about a quarter of a push row; ratios of 3 to 6 beat 1 and 2
+# (``BENCH_24.json``, ``in_process``)
 PULL_RATIO = 4
 
 
@@ -273,70 +273,65 @@ def _peel(
 
 
 def _sweep(
-    rows_of: Callable[[np.ndarray], np.ndarray], seen: np.ndarray, v: int
-) -> np.ndarray:
-    """Level-synchronous BFS from v that marks in ``seen`` every node v
-    reaches through unmarked nodes; ``rows_of(frontier)`` lists the heads of
-    the frontier's arcs.  Returns ``seen``."""
-    seen[v] = True
-    frontier = np.array([v])
-    while frontier.size:
-        hit = rows_of(frontier)
-        frontier = _distinct(hit.compress(~seen[hit]))
-        seen[frontier] = True
-    return seen
+    seen: np.ndarray,
+    front: np.ndarray,
+    push: Callable[[np.ndarray], np.ndarray],
+    table: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Level-synchronous BFS from the nodes ``front`` through the nodes
+    unmarked in ``seen``: marks every node it reaches and yields each level,
+    ``front`` first.  ``push(front)`` lists the nodes one arc from the
+    frontier, repeats allowed.
 
-
-def _sweep_back(
-    table: np.ndarray, indptr: np.ndarray, tails: np.ndarray, seen: np.ndarray, v: int
-) -> np.ndarray:
-    """Level-synchronous BFS from v against the arcs of the out-table
-    ``table``: marks in ``seen`` every node that reaches v through unmarked
-    nodes.  (``indptr``, ``tails``) is the reverse CSR of the table's arcs
-    out of a set of rows that holds every unmarked one.  The unmarked nodes
-    must be closed under the table's arcs (a forward closure), so that a
-    marked head of an unmarked row is one reached by the sweep.
-
-    Each round pushes from the frontier over the reverse CSR, or pulls over
-    the rows still waiting (a row is reached once any of its heads is), as
-    in Beamer, Asanovic & Patterson's direction-optimizing BFS (SC 2012).
-    It pulls once the waiting rows are at most ``PULL_RATIO`` times the
-    frontier.  The first pull lists the waiting rows with one pass over all
-    of ``seen``; each later pull costs at most ``PULL_RATIO`` times the
-    frontier before it, so the sweep stays linear in rows plus arcs.  The
-    first rounds push; the last ones, where the frontier is a large share
-    of the few rows left, pull.  Returns ``seen``."""
-    seen[v] = True
+    Given ``table``, an out-table whose arcs the sweep follows backward, a
+    round may pull instead: it reaches each waiting row with a marked head,
+    as in Beamer, Asanovic & Patterson's direction-optimizing BFS (SC 2012).
+    A node marked before the sweep and not in ``front`` must be no head of
+    an unmarked row (as when the unmarked nodes are a forward closure), so
+    that a marked head of a waiting row is one reached in the round before.
+    The sweep pulls once the waiting rows are at most
+    ``PULL_RATIO`` times the frontier: the first pull lists them with one
+    pass over all of ``seen``, and each later pull costs at most
+    ``PULL_RATIO`` times the frontier before it, so the sweep stays linear in
+    rows plus arcs.  The first rounds push; the last ones, where the frontier
+    is a large share of the few rows left, pull."""
+    seen[front] = True
     left = seen.size - np.count_nonzero(seen)  # the rows still waiting
-    frontier = np.array([v])
     todo = None  # the waiting rows, listed at the first pull
-    while frontier.size and left:
-        if left <= PULL_RATIO * frontier.size:
+    while front.size:
+        yield front
+        if not left:
+            return
+        if table is not None and left <= PULL_RATIO * front.size:
             todo = np.flatnonzero(~seen) if todo is None else todo.compress(~seen.take(todo))
             # indexing, unlike take, casts int32 heads to intp a buffer at a
-            # time, not as one whole copy (VmHWM 395 against 459 MB at 10^7)
+            # time, not as one whole copy (``BENCH_24.json``, ``pull_gather_ms``)
             hit = _by_row(np.logical_or, seen[table.take(todo, axis=0)])
-            frontier = todo.compress(hit)
+            front = todo.compress(hit)
             todo = todo.compress(~hit)
         else:
-            hit = _rows(indptr, tails, frontier)
-            frontier = _distinct(hit.compress(~seen[hit]))
-        seen[frontier] = True
-        left -= frontier.size
-    return seen
+            hit = push(front)
+            front = _distinct(hit.compress(~seen[hit]))
+        seen[front] = True
+        left -= front.size
 
 
-def _induced(table: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the subgraph that the out-table ``table`` (heads 0 .. rows, the
-    number of rows marking an arc out of the table) induces on the sorted
-    vertices ``verts``, relabelled 0 .. verts.size - 1; arcs leaving
-    ``verts`` are dropped.  On a view's local table the map is view-sized."""
-    local_of = np.full(table.shape[0] + 1, -1, dtype=_index_dtype(*table.shape))
-    local_of[verts] = np.arange(verts.size)
+def _local(
+    table: np.ndarray, verts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The out-table that ``table`` (heads 0 .. rows, the number of rows
+    marking an arc out of the table) induces on the sorted vertices
+    ``verts``, relabelled 0 .. m - 1 with m = verts.size marking an arc out of
+    ``verts``; then its count of arcs that stay per row, and the CSR of those
+    arcs.  On a view's local table the map is view-sized."""
+    m = verts.size
+    local_of = np.full(table.shape[0] + 1, m, dtype=_index_dtype(*table.shape))
+    local_of[verts] = np.arange(m)
     local = local_of.take(table.take(verts, axis=0))
-    stays = local >= 0
-    indptr = _row_pointers(_by_row(np.add, stays, np.int64))
-    return indptr, local.ravel().compress(stays.ravel())
+    del local_of
+    stays = local < m
+    counts = _by_row(np.add, stays, np.int64)
+    return local, counts, _row_pointers(counts), local.ravel().compress(stays.ravel())
 
 
 def _pull(
@@ -356,28 +351,29 @@ def _pull(
     can hold a component closed in the view (height 0), and only its rows
     need the check on ``rep``: a nontrivial component settles as a whole,
     when none of its members is held back; its unsettled rows are checked
-    every round (whp a handful).  A vertex is at distance r once an arc
-    lands on one at distance r - 1, a BFS from the sink.
+    every round (whp a handful).
 
     Each round looks either at every row still waiting (a pull over the
     table) or only at the predecessors of the rows settled in the round
     before (over the reversed arcs of the view), whichever list is shorter.
     A pull thus costs at most the previous round's yield, and every round
-    is paid for by the rows it follows, so both loops are linear in rows
+    is paid for by the rows it follows, so the rounds are linear in rows
     plus arcs even where the heights are long (about sqrt(n) at k = 1).  At
     k >= 2 the waiting rows shrink by more than half a round and nearly
-    every round pulls.  Both results are int32, and a distance is -1 where
-    the sink is out of reach."""
+    every round pulls.  The distances come from a backward ``_sweep`` from
+    the rows with an arc into the sink, over the same two lists.  Both
+    results are int32, and a distance is -1 where the sink is out of
+    reach."""
     m, k = table.shape
-    rev: list[np.ndarray] = []  # the tails of the view's arcs by head, built once asked
+    rev: list[np.ndarray] = []  # the reverse CSR of the view's arcs, built once asked
 
-    def preds(rows: np.ndarray) -> np.ndarray:
-        # the distinct rows with an arc onto one of ``rows``
+    def tails(rows: np.ndarray) -> np.ndarray:
+        # the tails of the view's arcs onto ``rows``, repeats kept
         if not rev and rows.size:
-            tails = np.repeat(np.arange(m, dtype=indices.dtype), outdeg)
             rev.append(_row_pointers(np.bincount(indices, minlength=m)))
-            rev.append(tails.take(np.argsort(indices, kind="stable")))
-        return _distinct(_rows(*rev, rows)) if rows.size else rows
+            # only rows with an arc that stays have one to reverse
+            rev.append(_reverse_tails(table, indices.dtype, np.flatnonzero(outdeg)))
+        return _rows(*rev, rows) if rows.size else rows
 
     top = np.iinfo(np.int32).max  # not settled yet
     level = np.full(m + 1, top, dtype=np.int32)
@@ -418,7 +414,7 @@ def _pull(
             got = todo.compress(ok)
             todo = todo.compress(~ok)
         else:
-            got = preds(fresh)
+            got = _distinct(tails(fresh))
             got = got.compress(level.take(got) == top)
             got = got.compress(_by_row(np.maximum, level.take(table.take(got, axis=0))) < r)
         level[got] = r
@@ -431,22 +427,11 @@ def _pull(
     if left:
         raise AssertionError("condensation had a cycle; SCC labels are inconsistent")
 
-    dist = np.full(m, top, dtype=np.int32)
-    front = np.flatnonzero(outdeg < k)
-    near = np.flatnonzero(outdeg == k)  # rows with no arc into the sink
-    d = 1
-    while front.size:
+    dist = np.full(m, -1, dtype=np.int32)
+    seen = np.zeros(m + 1, dtype=bool)
+    seen[m] = True  # the sink
+    for d, front in enumerate(_sweep(seen, np.flatnonzero(outdeg < k), tails, table), 1):
         dist[front] = d
-        d += 1
-        if near.size <= front.size:
-            near = near.compress(dist.take(near) == top)
-            hit = _by_row(np.minimum, dist.take(table.take(near, axis=0))) < d
-            front = near.compress(hit)
-            near = near.compress(~hit)
-        else:
-            front = preds(front)
-            front = front.compress(dist.take(front) == top)
-    dist[dist == top] = -1
     return level[:m], dist
 
 
@@ -467,19 +452,10 @@ def _rest(
     few, once the giant is the sink; no call at all when fewer than two are
     left).
     """
-    n, k = endpoints.shape
-    dtype = _index_dtype(n, k)
+    dtype = _index_dtype(*endpoints.shape)
     verts = _members(~sink, dtype)
     m = verts.size
-    local_of = np.full(n, m, dtype=dtype)
-    local_of[verts] = np.arange(m, dtype=dtype)
-    table = local_of.take(endpoints.take(verts, axis=0))
-    del local_of
-    stays = table < m
-    outdeg = _by_row(np.add, stays, np.int64)
-    indptr = _row_pointers(outdeg)
-    indices = table.ravel().compress(stays.ravel())
-    del stays
+    table, outdeg, indptr, indices = _local(endpoints, verts)
     if core is None:
         indeg = np.bincount(indices, minlength=m)
         inner = np.flatnonzero(_peel(lambda f: _rows(indptr, indices, f), indeg) < 0)
@@ -487,7 +463,7 @@ def _rest(
         inner = np.flatnonzero(core[verts])
     rep = np.arange(m, dtype=dtype)  # smallest local member of each vertex's component
     if inner.size > 1:
-        nlabels, labels = _scc_labels(*_induced(table, inner))
+        nlabels, labels = _scc_labels(*_local(table, inner)[2:])
         low = np.full(nlabels, m, dtype=np.int64)
         np.minimum.at(low, labels, inner)
         rep[inner] = low[labels]
@@ -568,8 +544,11 @@ def decompose(g: KOutDigraph) -> Decomposition:
     del indeg
     rev_tails = _reverse_tails(endpoints, dtype, one_in_core)
     v = int(np.argmax(core))
-    closure = _sweep(lambda f: endpoints.take(f, axis=0).ravel(), np.zeros(g.n, dtype=bool), v)
-    strong = _sweep_back(endpoints, rev_indptr, rev_tails, ~closure, v).all()
+    closure = np.zeros(g.n, dtype=bool)
+    forward = _sweep(closure, np.array([v]), lambda f: endpoints.take(f, axis=0).ravel())
+    size = sum(f.size for f in forward)
+    backward = _sweep(~closure, np.array([v]), lambda f: _rows(rev_indptr, rev_tails, f), endpoints)
+    strong = sum(f.size for f in backward) == size
     del rev_indptr, rev_tails
     sink = closure if strong else np.zeros(g.n, dtype=bool)
     rest = _rest(endpoints, core, sink)

@@ -132,9 +132,8 @@ def _index_dtype(n: int, k: int) -> np.dtype:
     int32 when every arc index fits (n * k < 2**31) and the table is large
     enough to gain from it (n * k >= 2**16), int64 otherwise.  Below that
     size numpy's casts of int32 index arrays to intp cost more than the
-    smaller arrays save: a replicate at k = 2 took 7% longer with int32
-    storage at n = 2*10^4 and 7% less at n = 6*10^4.  Only storage: pair
-    keys ``a * m + b`` and counters stay int64."""
+    smaller arrays save (see the CHANGES.md entry of ``BENCH_16.json``).
+    Only storage: pair keys ``a * m + b`` and counters stay int64."""
     return np.dtype(np.int32 if 2**16 <= n * k < 2**31 else np.int64)
 
 
@@ -161,9 +160,8 @@ def _reverse_tails(endpoints: np.ndarray, dtype, rows: np.ndarray | None = None)
     writes miss the cache) and costs far less per call at small n.  The keys
     are int64 whatever the table's dtype, since they need up to 2 * s bits,
     and fit while n <= 2**31.  A shift and a mask in place of keys
-    ``head * n + tail`` and their remainder order the rows the same way and
-    take 36.8 against 43.1 ms on an int32 table at n = 10^6, k = 2 (medians
-    of 15 calls on a 2-core host)."""
+    ``head * n + tail`` and their remainder order the rows the same way for
+    less (``BENCH_22.json``, ``reverse_tails_1e6``)."""
     n = endpoints.shape[0]
     s = (n - 1).bit_length()
     if rows is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import KOutDigraph, RngSpec, _check_int, _indegree, generate
-from .decompose import _distinct, _rows, _sweep, _sweep_back
+from .decompose import _distinct, _rows, _sweep
 
 __all__ = [
     "DistanceSample",
@@ -73,7 +73,7 @@ class _PairSearch:
                 side = 0 if fronts[0].size <= fronts[1].size else 1
                 if side == 0:
                     # numpy casts an int32 index to intp on each lookup below;
-                    # one cast here answered 2461 against 2215 pairs/s at 10^5
+                    # one cast here costs less (``BENCH_22.json``, ``pair_search_1e5``)
                     front = self.endpoints.take(fronts[0], axis=0).ravel()
                     reached = front.astype(np.intp, copy=False)
                 else:
@@ -118,13 +118,13 @@ def is_strongly_connected(g: KOutDigraph) -> bool:
         return False
     # strongly connected iff vertex 0 reaches every vertex and every vertex
     # reaches vertex 0
-    forward = _sweep(
-        lambda f: g.endpoints.take(f, axis=0).ravel(), np.zeros(g.n, dtype=bool), 0
-    )
-    if not forward.all():
+    def reaches_all(push, table=None) -> bool:
+        levels = _sweep(np.zeros(g.n, dtype=bool), np.array([0]), push, table)
+        return sum(f.size for f in levels) == g.n
+
+    if not reaches_all(lambda f: g.endpoints.take(f, axis=0).ravel()):
         return False
-    backward = _sweep_back(g.endpoints, *g.reverse_csr, np.zeros(g.n, dtype=bool), 0)
-    return bool(backward.all())
+    return reaches_all(lambda f: _rows(*g.reverse_csr, f), g.endpoints)
 
 
 def has_indegree_zero_vertex(g: KOutDigraph) -> bool:

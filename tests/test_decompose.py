@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from conftest import digraph_from_rows, endpoint_tables
 from kout.decompose import (
     _rows,
     _scc_labels,
     _sweep,
-    _sweep_back,
     condense,
     decompose,
     giant,
@@ -312,7 +311,8 @@ def test_long_heights_look_at_each_row_a_bounded_number_of_times():
     by_row = decompose_module._by_row
 
     def spy(ufunc, table, dtype=None):
-        if ufunc in (np.maximum, np.minimum):
+        # the heights rounds take row maxima, the distance pulls row ors
+        if ufunc in (np.maximum, np.logical_or):
             looked.append(table.shape[0])
         return by_row(ufunc, table, dtype)
 
@@ -490,17 +490,24 @@ def test_decompose_sees_a_strong_closure_on_an_int32_table():
 
 # The backward sweep from v over the forward closure F of v: pushes over the
 # reverse CSR while the frontier is the shorter list, pulls over the
-# out-table once the rows of F still waiting are.  Its marks must be those
-# of a push-only sweep, for every start vertex.
+# out-table once the rows of F still waiting are.  Its levels and marks must
+# be those of a push-only sweep, for every start vertex.
+def _levels(seen: np.ndarray, v: int, push, table=None) -> list[list[int]]:
+    return [f.tolist() for f in _sweep(seen, np.array([v]), push, table)]
+
+
 def _assert_sweep_back_matches_push(endpoints: np.ndarray) -> None:
     n = endpoints.shape[0]
     indptr, tails = KOutDigraph(n, endpoints.shape[1], endpoints).reverse_csr
     for v in range(n):
-        closure = _sweep(lambda f: endpoints.take(f, axis=0).ravel(), np.zeros(n, dtype=bool), v)
-        want = _sweep(lambda f: _rows(indptr, tails, f), ~closure, v)
-        got = _sweep_back(endpoints, indptr, tails, ~closure, v)
+        closure = np.zeros(n, dtype=bool)
+        _levels(closure, v, lambda f: endpoints.take(f, axis=0).ravel())
+        want, got = ~closure, ~closure
+        want_levels = _levels(want, v, lambda f: _rows(indptr, tails, f))
+        got_levels = _levels(got, v, lambda f: _rows(indptr, tails, f), endpoints)
         assert np.array_equal(got, want), (endpoints.tolist(), v)
         assert got.all() == want.all()
+        assert got_levels == want_levels, (endpoints.tolist(), v)
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (2, 3), (4, 1)])
@@ -536,43 +543,86 @@ def test_sweep_back_matches_push_on_k1_chains(rows):
     _assert_sweep_back_matches_push(np.array(rows))
 
 
-def test_backward_sweep_pushes_first_and_pulls_last_at_100k():
-    g = generate(100_000, 2, RngSpec(20261020, 0))
-    rounds: list[str] = []
-    sweep_back, rows, by_row = (
-        decompose_module._sweep_back,
-        decompose_module._rows,
-        decompose_module._by_row,
-    )
-    active = []
+@contextlib.contextmanager
+def _sweep_rounds():
+    """Spies on decompose's sweeps: per call of ``_sweep`` with a table, in
+    call order, the table and the kind of each round, "push" or "pull"."""
+    sweep, rows, by_row = decompose_module._sweep, decompose_module._rows, decompose_module._by_row
+    calls: list[tuple[np.ndarray, list[str]]] = []
+    active: list[list[str]] = []  # the rounds of the sweep now running
+
+    def spy(seen, front, push, table=None):
+        rounds: list[str] = []
+        if table is not None:
+            calls.append((table, rounds))
+        levels = sweep(seen, front, push, table)
+        while True:
+            active.append(rounds)
+            try:
+                level = next(levels, None)
+            finally:
+                active.pop()
+            if level is None:
+                return
+            yield level
 
     def push(*args):
         if active:
-            rounds.append("push")
+            active[-1].append("push")
         return rows(*args)
 
     def pull(ufunc, *args):
-        if active:
-            rounds.append("pull")
+        if active and ufunc is np.logical_or:
+            active[-1].append("pull")
         return by_row(ufunc, *args)
 
-    def spy(*args):
-        active.append(True)
-        try:
-            return sweep_back(*args)
-        finally:
-            active.clear()
-
     with (
-        mock.patch.object(decompose_module, "_sweep_back", spy),
+        mock.patch.object(decompose_module, "_sweep", spy),
         mock.patch.object(decompose_module, "_rows", push),
         mock.patch.object(decompose_module, "_by_row", pull),
+    ):
+        yield calls
+
+
+def test_backward_sweep_pushes_first_and_pulls_last_at_100k():
+    g = generate(100_000, 2, RngSpec(20261020, 0))
+    with (
+        _sweep_rounds() as calls,
         mock.patch.object(decompose_module, "_rest", wraps=decompose_module._rest) as rest,
     ):
         d = decompose(g)
     assert rest.call_count == 1  # the closure was found strong: it is the giant
+    table, rounds = calls[0]  # the check that the closure is strong
+    assert table is g.endpoints
     assert rounds[0] == "push" and rounds[-1] == "pull", rounds
     assert np.array_equal(d.giant, np.flatnonzero(rest.call_args.args[2]))
+
+
+def _scipy_distances_to_sink(view, k: int) -> np.ndarray:
+    """Arcs from each view vertex to the giant, -1 where out of reach: scipy's
+    BFS from a super-sink m over the reversed view, whose row v gets an arc
+    from the sink once v has an arc into the giant."""
+    m = view.size
+    tails, heads = view.arcs()
+    into_sink = np.flatnonzero(np.diff(view.indptr) < k)
+    src = np.concatenate([heads, np.full(into_sink.size, m)])
+    dst = np.concatenate([tails, into_sink])
+    mat = coo_matrix((np.ones(src.size), (src, dst)), shape=(m + 1, m + 1)).tocsr()
+    dist = dijkstra(mat, directed=True, indices=m, unweighted=True)[:m]
+    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
+
+
+def test_view_distances_match_a_scipy_bfs_from_a_super_sink_at_2e4():
+    kinds = set()
+    # at k = 1 the view is most of the digraph and its distances run long
+    for k, seed in ((1, 1), (2, 5), (3, 7)):
+        g = generate(20_000, k, RngSpec(seed, 0))
+        with _sweep_rounds() as calls:
+            d = decompose(g)
+        assert np.array_equal(d.view.dist, _scipy_distances_to_sink(d.view, k)), k
+        assert d.view.dist.dtype == np.int32
+        kinds.add(frozenset(calls[-1][1]))  # the view's distance sweep
+    assert frozenset({"push", "pull"}) in kinds, kinds
 
 
 # The library never imports scipy; the tests use it as a reference, so this

@@ -4,6 +4,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import digraph_from_rows, endpoint_tables
 from kout import digraph
@@ -65,6 +67,20 @@ def test_not_strongly_connected_when_one_vertex_cannot_get_back():
     assert not is_strongly_connected(g)
     ep[n - 1] = 0  # the way back: now every vertex reaches 0 along the chain
     assert is_strongly_connected(KOutDigraph(n, 2, ep))
+
+
+def test_strong_connectivity_matches_scipy_at_2000():
+    # around the threshold k = ln n (about 7.6), both outcomes come up
+    seen = []
+    for k in range(4, 10):
+        for stream in range(4):
+            g = generate(2000, k, RngSpec(41, stream))
+            tails = np.repeat(np.arange(g.n), g.k)
+            mat = coo_matrix((np.ones(tails.size), (tails, g.endpoints.ravel())), shape=(g.n, g.n))
+            ncomp, _ = connected_components(mat.tocsr(), directed=True, connection="strong")
+            seen.append(is_strongly_connected(g))
+            assert seen[-1] == (ncomp == 1), (k, stream)
+    assert any(seen) and not all(seen)
 
 
 def test_indegree_zero_implies_not_sc():

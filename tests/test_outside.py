@@ -532,7 +532,7 @@ def test_one_scc_pass_per_replicate_on_the_core_outside_the_giant():
         rest_sizes.append(rest.size)
         assert spy.call_count == int(rest.size >= 2)
         if spy.call_count:
-            want = decompose_module._induced(g.endpoints, rest)
+            want = decompose_module._local(g.endpoints, rest)[2:]
             assert all(np.array_equal(a, b) for a, b in zip(spy.call_args.args, want))
     assert max(rest_sizes) >= 2 and min(rest_sizes) < 2  # both cases were seen
 
@@ -575,7 +575,7 @@ def test_report_builds_no_second_view(rows):
     # create=True spies on a builder name even where outside does not import it
     g = generate(2000, 2, RngSpec(13, 1)) if rows is None else digraph_from_rows(rows)
     d = decompose(g)
-    builders = {name: getattr(decompose_module, name) for name in ("_induced", "_rest")}
+    builders = {name: getattr(decompose_module, name) for name in ("_local", "_rest")}
     with contextlib.ExitStack() as stack:
         spies = {
             (module.__name__, name): stack.enter_context(
