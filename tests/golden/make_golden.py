@@ -1,6 +1,6 @@
 """Frozen outputs that a refactor of the decomposition must reproduce exactly.
 
-Five records live beside this script:
+Six records live beside this script:
 
 - ``montecarlo_n2000.csv``: the CSV of ``run_experiment(n=2000, k=2, reps=40,
   seed=20260809, collect=all)`` with the wall-time column ``ms_elapsed``
@@ -23,9 +23,16 @@ Five records live beside this script:
 - ``surjection_draws.json``: the retries of ``sample_surjection(m, k,
   RngSpec(20260809, stream))`` for every m in ``SURJECTION_MS``, k in
   ``SURJECTION_KS`` and stream in ``SURJECTION_STREAMS``, with a SHA-256
-  digest of the mapping's little-endian int64 bytes and the retries.
+  digest of the mapping's little-endian int64 bytes and the retries;
+- ``decompose_k1_k3.json``: SHA-256 digests of ``scc_id``, ``height``,
+  ``giant`` and ``one_in_core`` of ``decompose(generate(10**5, k,
+  RngSpec(20260809, stream)))``, and of the view's ``comp``, ``height`` and
+  ``dist``, for k in ``DECOMPOSE_KS`` and stream in ``DECOMPOSE_STREAMS``.
+  The other records pin k = 2 only.  It records ``decompose`` alone: at
+  k = 1 a long cycle outside the giant can make ``outside_report`` raise
+  ``ComponentCapError``.
 
-``tests/test_golden.py`` recomputes all five and compares them byte for byte.
+``tests/test_golden.py`` recomputes all six and compares them byte for byte.
 Regenerate (only when a change is meant to alter outputs) from the repository
 root with::
 
@@ -58,12 +65,16 @@ JSON_PATH = HERE / "replicate_n100000.json"
 JSON_300K_PATH = HERE / "replicate_n300000.json"
 CLI_PATH = HERE / "cli_stdout.txt"
 SURJECTION_PATH = HERE / "surjection_draws.json"
+DECOMPOSE_PATH = HERE / "decompose_k1_k3.json"
 SEED = 20260809
 REPLICATE_STREAM = 8
 REPLICATE_300K_STREAM = 0
 SURJECTION_MS = (1, 2, 5, 30, 100, 1000)
 SURJECTION_KS = (2, 3)
 SURJECTION_STREAMS = (0, 1, 2, 3, 4)
+DECOMPOSE_N = 100_000
+DECOMPOSE_KS = (1, 3)
+DECOMPOSE_STREAMS = (0, 1)
 
 CLI_COMMANDS = (
     "constants --k 3",
@@ -166,11 +177,33 @@ def surjection_json() -> str:
     return json.dumps({"seed": SEED, "draws": draws}, indent=1) + "\n"
 
 
+def decompose_json() -> str:
+    records = []
+    for k in DECOMPOSE_KS:
+        for stream in DECOMPOSE_STREAMS:
+            dec = decompose(generate(DECOMPOSE_N, k, RngSpec(SEED, stream)))
+            view = dec.view
+            arrays = {
+                "scc_id": dec.scc_id,
+                "height": dec.height,
+                "giant": dec.giant,
+                "one_in_core": dec.one_in_core,
+                "view_comp": view.comp,
+                "view_height": view.height,
+                "view_dist": view.dist,
+            }
+            record = {"k": k, "stream": stream, "view_size": int(view.size)}
+            record.update({f"{name}_sha256": _digest(a) for name, a in arrays.items()})
+            records.append(record)
+    return json.dumps({"n": DECOMPOSE_N, "seed": SEED, "records": records}, indent=1) + "\n"
+
+
 if __name__ == "__main__":
     CSV_PATH.write_text(montecarlo_csv(), newline="")
     JSON_PATH.write_text(replicate_json())
     JSON_300K_PATH.write_text(replicate_json(300_000, REPLICATE_300K_STREAM))
     CLI_PATH.write_text(cli_stdout())
     SURJECTION_PATH.write_text(surjection_json())
-    written = (CSV_PATH, JSON_PATH, JSON_300K_PATH, CLI_PATH, SURJECTION_PATH)
+    DECOMPOSE_PATH.write_text(decompose_json())
+    written = (CSV_PATH, JSON_PATH, JSON_300K_PATH, CLI_PATH, SURJECTION_PATH, DECOMPOSE_PATH)
     print("wrote " + ", ".join(p.name for p in written))

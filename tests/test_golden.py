@@ -41,3 +41,9 @@ def test_golden_surjection_draws():
     # which attempt is accepted, and the table it gives, for every (m, k, stream)
     want = make_golden.SURJECTION_PATH.read_bytes()
     assert make_golden.surjection_json().encode() == want
+
+
+def test_golden_decompose_k1_k3():
+    # the other records pin k = 2 only
+    want = make_golden.DECOMPOSE_PATH.read_bytes()
+    assert make_golden.decompose_json().encode() == want
