@@ -35,18 +35,21 @@ When F is not one SCC (at small n, or when the largest SCC reaches an
 absorbing vertex), the same steps run without F, and the search labels the
 whole one-in-core.  That fallback is rare at large n, but it costs about
 5 us per core vertex, several times scipy's compiled pass, which the package
-no longer loads (``BENCH_20.json``).  Heights come from a pull over the
-view's own out-table (``_pull``), with F as a sink of height 0: in round r a
-component settles at height r once every arc leaving it lands on one settled
-earlier.  A row whose arcs all enter F settles without a look; any other is
-looked at either in a round over every waiting row or as a predecessor of a
-row settled in the round before, whichever list is shorter, so the rounds
-stay linear in the view's rows and arcs even where the heights run to about
-sqrt(n) (k = 1).  Each vertex's distance to F comes from a backward
-``_sweep`` over the same table, from the rows with an arc into F, so W needs
-no second pass over the digraph.  The one-in-core comes from a peel.  The
-peel, the pull and the sweeps are level-synchronous, one numpy pass per
-level, and a random k-out digraph at k >= 2 has O(log n) levels whp.  Every
+no longer loads (``BENCH_20.json``).
+
+Heights and distances to F (a sink of height 0) take one pass of the view
+outside F.  Outside the one-in-core the digraph is a DAG, and the core peel
+lists its vertices in topological order, round by round (Kahn 1962): an arc
+out of a vertex of round r leads to the core or to a later round.  Tarjan's
+labels order the few core components outside F, also topologically.  So the
+core components take their heights from one pass over the quotient of their
+labels and their distances from a push-only ``_sweep``; then the peel's
+rounds, last first, give every other vertex 1 + the max of its heads'
+heights and 1 + the min of their distances, one numpy step per round.  The
+distances give W without a second pass over the digraph.  The peel and the
+sweeps are level-synchronous, one numpy pass per level, and a random k-out
+digraph at k >= 2 has O(log n) levels whp (about sqrt(n) at k = 1).  Stage
+times and perfbench pairs of this pass are in ``BENCH_27.json``.  Every
 vertex reaches some closed component, so every vertex reaches the giant iff
 the giant is the only closed component.
 
@@ -59,7 +62,7 @@ Vertex, arc and component ids, and the out-table itself, are stored in the
 index dtype of ``_index_dtype``: int32 when 2**16 <= n * k < 2**31, else
 int64.  int32 is a storage type only: every pair key ``a * m + b`` and every
 reverse key is int64 (``a * m`` wraps in 32 bits once m > 46,341), and so
-are the counters the peels lower.  Large selections use
+is the count the peel lowers.  Large selections use
 ``ndarray.compress``, several times faster than a boolean-mask index;
 ``_distinct`` keeps the mask, which costs less on the few elements of a pair
 search.
@@ -68,7 +71,7 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -156,11 +159,6 @@ def _members(mask: np.ndarray, dtype) -> np.ndarray:
     return np.flatnonzero(mask).astype(dtype, copy=False)
 
 
-def _dense_csr(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, k = endpoints.shape
-    return np.arange(0, n * k + 1, k), endpoints.ravel()
-
-
 def _rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The entries of the given CSR rows, concatenated."""
     starts = indptr[rows]
@@ -240,36 +238,34 @@ def _scc_labels(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, np.ndarra
 
 
 def _quotient(
-    indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray, nlabels: int
+    table: np.ndarray, labels: np.ndarray, nlabels: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the deduplicated arcs between distinct labels, rows sorted."""
-    src = np.repeat(labels.astype(np.int64), np.diff(indptr))
-    dst = labels[indices]
-    ext = src != dst
-    keys = _distinct(src.compress(ext) * nlabels + dst.compress(ext))
+    """CSR of the deduplicated arcs between distinct labels of the out-table
+    ``table``, rows sorted.  ``labels`` labels each row, then any head past
+    the rows; only the arcs that cross labels make keys."""
+    own = labels[: table.shape[0]]
+    heads = labels.take(table)
+    cross = heads != own[:, None]
+    tails = np.repeat(own.astype(np.int64), _by_row(np.add, cross, np.int64))
+    keys = _distinct(tails * nlabels + heads.ravel().compress(cross.ravel()))
     return _indptr(keys // nlabels, nlabels), keys % nlabels
 
 
-def _peel(
-    rows_of: Callable[[np.ndarray], np.ndarray], deg: np.ndarray
-) -> np.ndarray:
-    """Level-synchronous peel: round 0 deletes every node of ``deg`` 0, and
-    deleting node x lowers ``deg`` once per entry of ``rows_of([x])``.
-    Returns the round in which each node went, -1 for the survivors, as
-    int32.  Each round lowers ``deg`` in place (the caller's array: every
-    caller hands over a count it no longer needs) and deduplicates only the
-    nodes that reach 0, which beats counting every hit first (``np.unique``
-    or sort + mask)."""
-    level = np.full(deg.size, -1, dtype=np.int32)
-    frontier = np.flatnonzero(deg == 0)
-    depth = 0
-    while frontier.size:
-        level[frontier] = depth
-        hit = rows_of(frontier)
+def _peel(endpoints: np.ndarray, deg: np.ndarray) -> Iterator[np.ndarray]:
+    """Level-synchronous peel of the out-table ``endpoints``, whose vertices
+    have in-degree ``deg``: yields the vertices of each round, round 0 those
+    of ``deg`` 0, each later one those whose in-arcs all left in earlier
+    rounds.  ``deg`` is lowered in place (the caller's array: every caller
+    hands over a count it no longer needs); once the peel ends, the
+    survivors are the vertices it leaves above 0.  A round deduplicates only
+    the vertices that reach 0, which beats counting every hit first
+    (``np.unique`` or sort + mask)."""
+    front = np.flatnonzero(deg == 0)
+    while front.size:
+        yield front
+        hit = endpoints.take(front, axis=0).ravel()
         np.subtract.at(deg, hit, 1)
-        frontier = _distinct(hit.compress(deg[hit] == 0))
-        depth += 1
-    return level
+        front = _distinct(hit.compress(deg[hit] == 0))
 
 
 def _sweep(
@@ -317,174 +313,119 @@ def _sweep(
 
 
 def _local(
-    table: np.ndarray, verts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    table: np.ndarray, verts: np.ndarray, rounds: Iterable[np.ndarray] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """The out-table that ``table`` (heads 0 .. rows, the number of rows
     marking an arc out of the table) induces on the sorted vertices
     ``verts``, relabelled 0 .. m - 1 with m = verts.size marking an arc out of
-    ``verts``; then its count of arcs that stay per row, and the CSR of those
-    arcs.  On a view's local table the map is view-sized."""
+    ``verts``; then its count of arcs that stay per row, the CSR of those
+    arcs, and ``rounds``, lists of vertices of ``verts``, relabelled.  On a
+    view's local table the map is view-sized."""
     m = verts.size
     local_of = np.full(table.shape[0] + 1, m, dtype=_index_dtype(*table.shape))
     local_of[verts] = np.arange(m)
+    rounds = [local_of.take(r) for r in rounds]
     local = local_of.take(table.take(verts, axis=0))
     del local_of
     stays = local < m
     counts = _by_row(np.add, stays, np.int64)
-    return local, counts, _row_pointers(counts), local.ravel().compress(stays.ravel())
+    return local, counts, _row_pointers(counts), local.ravel().compress(stays.ravel()), rounds
 
 
-def _pull(
-    table: np.ndarray, outdeg: np.ndarray, indices: np.ndarray, rep: np.ndarray, inner: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(height, distance to the sink) of every vertex of a view, from its
-    local out-table ``table``, where m (the view's size) marks an arc into
-    the sink; ``outdeg`` counts each row's other arcs, whose heads are
-    ``indices`` in row order.  ``rep`` is the smallest member of each
-    vertex's component, and ``inner`` lists the view's core vertices, which
-    hold every self-loop and every nontrivial component.
-
-    In round r a component settles at height r once every arc leaving it
-    lands on a component settled in an earlier round; the sink counts as
-    height 0, and an arc inside its own component counts for nothing.  A row
-    with every arc into the sink settles at 1 without a look.  Only the core
-    can hold a component closed in the view (height 0), and only its rows
-    need the check on ``rep``: a nontrivial component settles as a whole,
-    when none of its members is held back; its unsettled rows are checked
-    every round (whp a handful).
-
-    Each round looks either at every row still waiting (a pull over the
-    table) or only at the predecessors of the rows settled in the round
-    before (over the reversed arcs of the view), whichever list is shorter.
-    A pull thus costs at most the previous round's yield, and every round
-    is paid for by the rows it follows, so the rounds are linear in rows
-    plus arcs even where the heights are long (about sqrt(n) at k = 1).  At
-    k >= 2 the waiting rows shrink by more than half a round and nearly
-    every round pulls.  The distances come from a backward ``_sweep`` from
-    the rows with an arc into the sink, over the same two lists.  Both
-    results are int32, and a distance is -1 where the sink is out of
+def _core_levels(
+    table: np.ndarray, inner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(position in ``inner`` of the smallest member of its component,
+    height, distance to the sink) of each core vertex of a view, from the
+    sorted ids ``inner`` of those vertices in the out-table ``table``.  The
+    core is closed, so their arcs stay among them or enter the sink, and
+    only they can share a component; ``_scc_labels`` labels them (no call for
+    fewer than two).  Its labels are reverse topological, so one pass over
+    their quotient in label order gives each component's height, the sink
+    counting 0.  A push-only ``_sweep`` over their reverse arcs, from the rows
+    with an arc into the sink, gives their distances, int32 max where out of
     reach."""
-    m, k = table.shape
-    rev: list[np.ndarray] = []  # the reverse CSR of the view's arcs, built once asked
-
-    def tails(rows: np.ndarray) -> np.ndarray:
-        # the tails of the view's arcs onto ``rows``, repeats kept
-        if not rev and rows.size:
-            rev.append(_row_pointers(np.bincount(indices, minlength=m)))
-            # only rows with an arc that stays have one to reverse
-            rev.append(_reverse_tails(table, indices.dtype, np.flatnonzero(outdeg)))
-        return _rows(*rev, rows) if rows.size else rows
-
-    top = np.iinfo(np.int32).max  # not settled yet
-    level = np.full(m + 1, top, dtype=np.int32)
-    level[m] = 0
-    rep_ext = np.append(rep, m)
-    held = np.zeros(m, dtype=bool)
-
-    def closed(rows: np.ndarray, r: int) -> np.ndarray:
-        # which core rows settle in round r, checked per component
-        heads, reps = table.take(rows, axis=0), rep.take(rows)
-        out = (level.take(heads) >= r) & (rep_ext.take(heads) != reps[:, None])
-        stuck = reps.compress(_by_row(np.logical_or, out))
-        held[stuck] = True
-        ok = ~held.take(reps)
-        held[stuck] = False
-        return ok
-
-    ok = closed(inner, 0)
-    fresh = inner.compress(ok)  # the rows settled in the round before
-    level[fresh] = 0
-    new = np.flatnonzero(outdeg == 0)  # settled in round 1 without a look
-    level[new] = 1
-    wait = inner.compress(level.take(inner) == top)
-    todo = np.flatnonzero(level[:m] == top)  # may hold rows settled since
-    left = todo.size
-    r = 1
-    while True:
-        if wait.size:
-            ok = closed(wait, r)
-            got = wait.compress(ok)
-            level[got] = r
-            left -= got.size
-            new = np.concatenate([new, got])
-            wait = wait.compress(~ok)
-        if todo.size <= fresh.size:
-            todo = todo.compress(level.take(todo) == top)
-            ok = _by_row(np.maximum, level.take(table.take(todo, axis=0))) < r
-            got = todo.compress(ok)
-            todo = todo.compress(~ok)
-        else:
-            got = _distinct(tails(fresh))
-            got = got.compress(level.take(got) == top)
-            got = got.compress(_by_row(np.maximum, level.take(table.take(got, axis=0))) < r)
-        level[got] = r
-        left -= got.size
-        fresh = np.concatenate([new, got])
-        if not fresh.size:
-            break
-        new = fresh[:0]
-        r += 1
-    if left:
-        raise AssertionError("condensation had a cycle; SCC labels are inconsistent")
-
-    dist = np.full(m, -1, dtype=np.int32)
-    seen = np.zeros(m + 1, dtype=bool)
-    seen[m] = True  # the sink
-    for d, front in enumerate(_sweep(seen, np.flatnonzero(outdeg < k), tails, table), 1):
-        dist[front] = d
-    return level[:m], dist
+    k = table.shape[1]
+    sub, _, ptr, idx, _ = _local(table, inner)
+    one = (inner.size, np.zeros(inner.size, dtype=np.int64))  # fewer than two
+    nlabels, labels = _scc_labels(ptr, idx) if inner.size > 1 else one
+    low = np.full(nlabels, inner.size, dtype=np.int64)
+    np.minimum.at(low, labels, np.arange(inner.size))
+    # the sink takes label 0, below every component with an arc into it
+    labels += 1
+    bounds, succ = (a.tolist() for a in _quotient(sub, np.append(labels, 0), nlabels + 1))
+    height = [0] * (nlabels + 1)
+    for c in range(1, nlabels + 1):
+        height[c] = 1 + max([height[d] for d in succ[bounds[c] : bounds[c + 1]]], default=-1)
+    dist = np.full(inner.size, np.iinfo(np.int32).max, dtype=np.int32)
+    stay = np.diff(ptr)
+    into = np.flatnonzero(stay < k)  # the rows with an arc into the sink
+    if into.size:
+        seen = np.zeros(inner.size + 1, dtype=bool)
+        seen[-1] = True  # the sink
+        rev = _row_pointers(np.bincount(idx, minlength=inner.size))
+        tails = _reverse_tails(sub, idx.dtype, np.flatnonzero(stay))
+        for d, front in enumerate(_sweep(seen, into, lambda f: _rows(rev, tails, f)), 1):
+            dist[front] = d
+    return low.take(labels - 1), np.array(height, dtype=np.int32).take(labels), dist
 
 
 def _rest(
-    endpoints: np.ndarray, core: np.ndarray | None, sink: np.ndarray
+    endpoints: np.ndarray, core: np.ndarray, rounds: list[np.ndarray], sink: np.ndarray
 ) -> OutsideView:
     """The view outside ``sink``, a closed SCC (or no vertex at all), given
-    the one-in-core mask ``core``: components numbered on their own by
-    (height, smallest label), with their heights in the whole digraph, and
-    each vertex's distance to the sink.  With ``core`` None, a peel of the
-    view finds its vertices in the one-in-core: no arc leaves the sink, so
-    they are the one-in-core of the view itself.
+    the one-in-core mask ``core`` and the rounds of the peel that found it:
+    components numbered on their own by (height, smallest label), with their
+    heights in the whole digraph, and each vertex's distance to the sink
+    (int32, -1 where out of reach).
 
-    One local out-table of the view, with m (its size) marking an arc into
-    the sink, gives the CSR, the input of ``_scc_labels`` and ``_pull``.
-    Every cycle lies in the one-in-core, so only its vertices outside the
-    sink can share a component, and ``_scc_labels`` labels just those (whp a
-    few, once the giant is the sink; no call at all when fewer than two are
-    left).
+    ``_core_levels`` gives the heights and distances of the view's core
+    vertices (whp a few, once the giant is the sink), before the view's
+    table is built: the Tarjan search, in pure Python, sets the peak of the
+    whole-core fallback.  One local out-table of the view, with m (its size)
+    marking an arc into the sink, gives the CSR and the rest of the heights
+    and distances, the sink counting 0 for both.  Every other view vertex is a
+    singleton without a self-loop, deleted by the peel, and its arcs lead to
+    the core, the sink or vertices deleted in later rounds.  So, last round
+    first, each takes 1 + the max of its heads' heights and 1 + the min of
+    their distances, one numpy step per round; a row whose arcs all enter
+    the sink has both 1 without a look.
     """
     dtype = _index_dtype(*endpoints.shape)
     verts = _members(~sink, dtype)
     m = verts.size
-    table, outdeg, indptr, indices = _local(endpoints, verts)
-    if core is None:
-        indeg = np.bincount(indices, minlength=m)
-        inner = np.flatnonzero(_peel(lambda f: _rows(indptr, indices, f), indeg) < 0)
-    else:
-        inner = np.flatnonzero(core[verts])
+    inner = np.flatnonzero(core[verts])
+    low, high, near = _core_levels(endpoints, verts.take(inner))
+    table, counts, indptr, indices, rounds = _local(endpoints, verts, rounds)
     rep = np.arange(m, dtype=dtype)  # smallest local member of each vertex's component
-    if inner.size > 1:
-        nlabels, labels = _scc_labels(*_local(table, inner)[2:])
-        low = np.full(nlabels, m, dtype=np.int64)
-        np.minimum.at(low, labels, inner)
-        rep[inner] = low[labels]
-    level, dist = _pull(table, outdeg, indices, rep, inner)
-    del table, outdeg
+    rep[inner] = inner.take(low)
+    level = np.ones(m + 1, dtype=np.int32)
+    dist = np.ones(m + 1, dtype=np.int32)
+    level[inner], dist[inner] = high, near
+    level[m] = dist[m] = 0
+    top = np.iinfo(np.int32).max  # out of reach
+    for rows in reversed(rounds):
+        rows = rows.compress(counts.take(rows) > 0)
+        heads = table.take(rows, axis=0)
+        level[rows] = _by_row(np.maximum, level.take(heads)) + 1
+        d = _by_row(np.minimum, dist.take(heads))
+        dist[rows] = d + (d < top)
+    del table, counts
+    dist[dist == top] = -1
     reps = np.flatnonzero(rep == np.arange(m, dtype=dtype))
     height = level[reps]
     # reps ascend, so a stable sort orders them by (height, smallest label)
     order = np.argsort(height, kind="stable")
-    canon = np.empty(reps.size, dtype=dtype)
-    canon[order] = np.arange(reps.size)
-    index_of = np.zeros(m, dtype=dtype)
-    index_of[reps] = np.arange(reps.size)
-    comp = canon.take(index_of.take(rep))
-    return OutsideView(verts, indptr, indices, comp, height.take(order), dist)
+    canon = np.zeros(m, dtype=dtype)  # the id of each component, at its rep
+    canon[reps.take(order)] = np.arange(reps.size)
+    return OutsideView(verts, indptr, indices, canon.take(rep), height.take(order), dist[:m])
 
 
-def _core_mask(endpoints: np.ndarray, indeg: np.ndarray) -> np.ndarray:
-    """One-in-core membership; ``indeg`` is ``_indegree(endpoints)``, which
-    the peel lowers in place."""
-    return _peel(lambda f: endpoints.take(f, axis=0).ravel(), indeg) < 0
+def _core_mask(endpoints: np.ndarray, indeg: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One-in-core membership and the rounds of the peel; ``indeg`` is
+    ``_indegree(endpoints)``, which the peel lowers in place."""
+    rounds = list(_peel(endpoints, indeg))
+    return indeg > 0, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +444,7 @@ def condense(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Deduplicated condensation adjacency plus per-component closed flags."""
     scc_id, members = sccs
-    indptr, indices = _quotient(*_dense_csr(g.endpoints), scc_id, len(members))
+    indptr, indices = _quotient(g.endpoints, scc_id, len(members))
     return _split(indices, indptr), np.diff(indptr) == 0
 
 
@@ -519,7 +460,7 @@ def one_in_core(g: KOutDigraph) -> np.ndarray:
     >= 1 (equivalently: closed and surjective), so it is independent of the
     deletion order.
     """
-    return np.flatnonzero(_core_mask(g.endpoints, _indegree(g.endpoints)))
+    return np.flatnonzero(_core_mask(g.endpoints, _indegree(g.endpoints))[0])
 
 
 def layers(g: KOutDigraph) -> tuple[int, int, int, int, bool]:
@@ -534,7 +475,7 @@ def decompose(g: KOutDigraph) -> Decomposition:
     endpoints = g.endpoints
     dtype = _index_dtype(g.n, g.k)
     indeg = _indegree(endpoints)
-    core = _core_mask(endpoints, indeg)
+    core, rounds = _core_mask(endpoints, indeg)
     one_in_core = _members(core, dtype)
     # the closure lies in the one-in-core, so the backward sweep needs only
     # the arcs out of it: the peel left their count in indeg.  Peak memory:
@@ -551,7 +492,7 @@ def decompose(g: KOutDigraph) -> Decomposition:
     strong = sum(f.size for f in backward) == size
     del rev_indptr, rev_tails
     sink = closure if strong else np.zeros(g.n, dtype=bool)
-    rest = _rest(endpoints, core, sink)
+    rest = _rest(endpoints, core, rounds, sink)
     # the sink, if any, is component 0: its height is 0, and every other
     # closed component lies in the one-in-core, above its smallest vertex v
     s = int(strong)
@@ -570,5 +511,5 @@ def decompose(g: KOutDigraph) -> Decomposition:
         giant=_members(giant, dtype),
         one_in_core=one_in_core,
         all_reach_giant=n_closed == 1,
-        view=rest if strong and gid == 0 else _rest(endpoints, core, giant),
+        view=rest if strong and gid == 0 else _rest(endpoints, core, rounds, giant),
     )

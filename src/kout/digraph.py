@@ -176,10 +176,6 @@ def _reverse_tails(endpoints: np.ndarray, dtype, rows: np.ndarray | None = None)
     return np.bitwise_and(keys, (1 << s) - 1, out=tails, casting="unsafe")
 
 
-def _random_endpoints(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
-    return gen.integers(0, n, size=(n, k), dtype=np.int64)
-
-
 def generate(n: int, k: int, rng: RngSpec) -> KOutDigraph:
     """Draw every arc endpoint i.i.d. uniform on [0, n), straight into the
     index dtype: numpy draws a range below 2**32 by one 32-bit path for int32
@@ -195,13 +191,14 @@ def generate_simple(n: int, k: int, rng: RngSpec) -> tuple[KOutDigraph, int]:
 
     Uniform over simple k-out digraphs.  The acceptance probability tends to
     exp(-k - k(k-1)/2), so the cap ``SIMPLE_ATTEMPT_CAP`` (read at call time)
-    fails loudly for k beyond ~5 instead of hanging.
+    fails loudly for k beyond ~5 instead of hanging.  Each attempt is drawn
+    as ``generate`` draws, straight into the index dtype.
     """
     _check_int("k", k, 1)
     _check_int("n", n, k + 1)  # a simple row needs k endpoints other than v
-    gen = rng.generator()
+    gen, dtype = rng.generator(), _index_dtype(n, k)
     for attempt in range(1, SIMPLE_ATTEMPT_CAP + 1):
-        g = KOutDigraph(n, k, _random_endpoints(n, k, gen))
+        g = KOutDigraph(n, k, gen.integers(0, n, size=(n, k), dtype=dtype))
         if is_simple(g):
             return g, attempt
     raise RejectionLimitError(

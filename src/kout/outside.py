@@ -48,11 +48,12 @@ import numpy as np
 from .decompose import (
     Decomposition,
     OutsideView,
+    _core_mask,
     _distinct,
     _rest,
     _scc_labels,
 )
-from .digraph import KOutDigraph, _row_pointers
+from .digraph import KOutDigraph, _indegree, _row_pointers
 from .errors import ComponentCapError, CycleCapError
 
 __all__ = [
@@ -72,11 +73,11 @@ SCC_SIZE_CAP = 64
 
 
 def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
-    """The view outside ``giant_set``, a closed SCC of g (the giant).  Its
-    one-in-core comes from a peel of the view alone, not of all n vertices."""
+    """The view outside ``giant_set``, a closed SCC of g (the giant), from a
+    core peel of g."""
     sink = np.zeros(g.n, dtype=bool)
     sink[giant_set] = True
-    return _rest(g.endpoints, None, sink)
+    return _rest(g.endpoints, *_core_mask(g.endpoints, _indegree(g.endpoints)), sink)
 
 
 def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:

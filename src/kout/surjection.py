@@ -77,7 +77,7 @@ def sample_surjection(m: int, k: int, rng: RngSpec) -> SurjectionSample:
         # table j moves to vertices [j n, (j + 1) n), in place
         for j in range(1, b):
             endpoints[j * n : (j + 1) * n] += j * n
-        core = _core_mask(endpoints, _indegree(endpoints))
+        core, _ = _core_mask(endpoints, _indegree(endpoints))
         sizes = [np.count_nonzero(core[j * n : (j + 1) * n]) for j in range(b)]
         if m not in sizes:
             done += b

@@ -265,6 +265,19 @@ def test_generate_simple_contract():
         assert is_simple(g)
 
 
+def test_generate_simple_draws_the_int64_values_in_the_index_dtype():
+    # n * k = 2**16: the attempts are drawn as int32, and each must equal the
+    # int64 draw, so the accepted digraph and the attempt count are the same
+    n, k, spec = 2**15, 2, RngSpec(20261020, 2)
+    g, attempts = generate_simple(n, k, spec)
+    assert g.endpoints.dtype == np.int32 and attempts == 5
+    gen = spec.generator()
+    for attempt in range(1, attempts + 1):
+        want = gen.integers(0, n, size=(n, k), dtype=np.int64)
+        assert is_simple(KOutDigraph(n, k, want)) == (attempt == attempts)
+    assert np.array_equal(g.endpoints, want)
+
+
 def test_generate_simple_rejects_small_n():
     with pytest.raises(ValueError):
         generate_simple(2, 2, RngSpec(0))

@@ -65,9 +65,9 @@ def test_arc_leaving_core_raises(monkeypatch):
     core_mask = surjection._core_mask
 
     def drop_first(endpoints, indeg):
-        core = core_mask(endpoints, indeg)
+        core, rounds = core_mask(endpoints, indeg)
         core[np.argmax(core)] = False
-        return core
+        return core, rounds
 
     monkeypatch.setattr(surjection, "_core_mask", drop_first)
     monkeypatch.setattr(surjection, "RETRY_CAP", 200)
