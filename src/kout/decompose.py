@@ -18,54 +18,36 @@ from the ids when asked.  It also keeps the view outside the giant (an
 
 SCCs are found around the giant instead of by one pass over all vertices.
 Let v be the smallest vertex of the one-in-core and F its forward closure.
-A backward sweep from v decides whether every vertex of F reaches v, that
-is, whether F is one closed SCC; whp it is, and it is the giant.  Both are
-runs of ``_sweep``, a level-synchronous BFS.  The backward one pushes over a
-reverse CSR of the arcs out of the one-in-core, which holds F, built for the
-check and dropped after it (its row pointers are the in-degree count that
-the core peel lowered to the arcs from the core); once the rows of F still
-waiting are at most ``PULL_RATIO`` times the frontier, it pulls over the
-out-table instead.  F is closed, so every other SCC lies outside it, and
-every cycle lies in the one-in-core, so only the core vertices outside F can
-share a component.
+A backward sweep from v, over a reverse CSR of the arcs out of the
+one-in-core, decides whether every vertex of F reaches v, that is, whether F
+is one closed SCC; whp it is, and it is the giant.  Both are runs of
+``_sweep`` (see it and ``PULL_RATIO`` for when the backward one pulls).  F
+is closed, so every other SCC lies outside it, and every cycle lies in the
+one-in-core, so only the core vertices outside F can share a component.
 ``_scc_labels``, an iterative Tarjan (1972) search in pure Python, labels
 just those: whp a few vertices, in microseconds; three in four replicates
 at n = 2*10^4 have fewer than two and make no call.
 When F is not one SCC (at small n, or when the largest SCC reaches an
 absorbing vertex), the same steps run without F, and the search labels the
-whole one-in-core.  That fallback is rare at large n, but it costs about
-5 us per core vertex, several times scipy's compiled pass, which the package
-no longer loads (``BENCH_20.json``).
+whole one-in-core, at about 5 us per core vertex.  That fallback is rare at
+large n.
 
 Heights and distances to F (a sink of height 0) take one pass of the view
-outside F.  Outside the one-in-core the digraph is a DAG, and the core peel
-lists its vertices in topological order, round by round (Kahn 1962): an arc
-out of a vertex of round r leads to the core or to a later round.  Tarjan's
-labels order the few core components outside F, also topologically.  So the
-core components take their heights from one pass over the quotient of their
-labels and their distances from a push-only ``_sweep``; then the peel's
-rounds, last first, give every other vertex 1 + the max of its heads'
-heights and 1 + the min of their distances, one numpy step per round.  The
-distances give W without a second pass over the digraph.  The peel and the
-sweeps are level-synchronous, one numpy pass per level, and a random k-out
-digraph at k >= 2 has O(log n) levels whp (about sqrt(n) at k = 1).  Stage
-times and perfbench pairs of this pass are in ``BENCH_27.json``.  Every
-vertex reaches some closed component, so every vertex reaches the giant iff
-the giant is the only closed component.
+outside F over the rounds of the core peel (see ``_rest`` and
+``_core_levels``).  The peel and the sweeps are level-synchronous, one numpy
+pass per level, and a random k-out digraph at k >= 2 has O(log n) levels
+whp (about sqrt(n) at k = 1).  Every vertex reaches some closed component,
+so every vertex reaches the giant iff the giant is the only closed
+component.
 
 The vertices outside F, with their CSR, ids, heights and distances, are the
 view outside the giant whenever F is the giant.  Otherwise (F is not one
 SCC, or a larger closed SCC lies elsewhere) the same steps run once more
 with the giant as the sink.
 
-Vertex, arc and component ids, and the out-table itself, are stored in the
-index dtype of ``_index_dtype``: int32 when 2**16 <= n * k < 2**31, else
-int64.  int32 is a storage type only: every pair key ``a * m + b`` and every
-reverse key is int64 (``a * m`` wraps in 32 bits once m > 46,341), and so
-is the count the peel lowers.  Large selections use
-``ndarray.compress``, several times faster than a boolean-mask index;
-``_distinct`` keeps the mask, which costs less on the few elements of a pair
-search.
+Index arrays are stored in the dtype of ``digraph._index_dtype`` (see
+``KOutDigraph`` for the keys that must be int64).  Large selections use
+``ndarray.compress``, several times faster than a boolean-mask index.
 """
 
 from __future__ import annotations
@@ -99,8 +81,10 @@ PULL_RATIO = 4
 @dataclass
 class OutsideView:
     """Induced subgraph on the vertices outside a closed SCC (the giant),
-    relabelled to local ids 0 .. size - 1.  Its component ids and heights
-    are the host's with the giant's removed: ids by (height, smallest label),
+    relabelled to local ids 0 .. size - 1.  The giant is closed, so no path
+    between two vertices outside it passes through it: the view's SCCs are
+    the host's other than the giant.  Its component ids and heights are the
+    host's with the giant's removed: ids by (height, smallest label),
     heights counting arcs into the giant, a sink of height 0."""
 
     vertices: np.ndarray  # sorted original ids (index dtype)
@@ -169,7 +153,8 @@ def _rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarr
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values by sort + mask: on integer ids numpy 2.4's
-    ``np.unique`` takes a hash path an order of magnitude slower."""
+    ``np.unique`` takes a hash path an order of magnitude slower, and on the
+    few elements of a pair search the mask costs less than ``compress``."""
     values = np.sort(values)
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]

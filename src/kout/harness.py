@@ -26,6 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from multiprocessing.util import Finalize
 
 import numpy as np
@@ -249,10 +250,6 @@ def _kept_pool(workers: int) -> ProcessPoolExecutor:
     return _pool
 
 
-def _run_chunk(config: ExperimentConfig, indices: range) -> list[ReplicateRecord]:
-    return [run_replicate(config, i) for i in indices]
-
-
 def run_experiment(
     config: ExperimentConfig, workers: int | None = None
 ) -> list[ReplicateRecord]:
@@ -262,29 +259,23 @@ def run_experiment(
     that lives for the process: later calls reuse its workers, and it is
     forked anew when the worker count, the process (a forked child) or
     ``outside.CYCLE_CAP`` / ``outside.SCC_SIZE_CAP`` change, so the workers
-    always hold the caller's caps.  A replicate's error cancels the chunks
-    that have not started; a broken pool is dropped, so the next call starts
-    a new one.  The workers are joined at interpreter exit.
+    always hold the caller's caps.  ``Executor.map`` raises the error of the
+    first failing replicate in index order and cancels the chunks that have
+    not started; a broken pool is dropped, so the next call starts a new one.
+    The workers are joined at interpreter exit.
     """
     global _pool_key
     if workers is None:
         workers = default_workers()
-    indices = range(config.reps)
+    job = partial(run_replicate, config)
     if workers <= 1 or config.reps == 1:
-        return [run_replicate(config, i) for i in indices]
+        return list(map(job, range(config.reps)))
     chunk = max(1, config.reps // (workers * 8))
-    futures = []
     try:
-        pool = _kept_pool(workers)
-        for start in indices[::chunk]:
-            futures.append(pool.submit(_run_chunk, config, indices[start : start + chunk]))
-        return [record for f in futures for record in f.result()]
+        return list(_kept_pool(workers).map(job, range(config.reps), chunksize=chunk))
     except BrokenProcessPool:
         _pool_key = None  # the next call replaces the pool
         raise
-    finally:
-        for f in futures:
-            f.cancel()
 
 
 # ---------------------------------------------------------------------------

@@ -6,31 +6,13 @@ parallel arcs do not multiply a cycle, and a self-loop is a cycle of length 1.
 Arc counts (for the tree-plus-one-arc excess check) do include parallel arcs,
 because they count arcs of the induced sub-digraph.
 
-The heavy per-vertex work runs on an :class:`OutsideView` (defined in
-:mod:`kout.decompose`): the induced subgraph on the complement of the giant,
-with vertices relabeled to a compact local range, held as CSR arrays together
-with its SCC labels.  The giant is closed, so no path between two outside
-vertices passes through it: the view's SCCs are exactly the host's SCCs other
-than the giant, and nothing outside the giant is reachable from it.  The
-view's component ids and heights are the host's with the giant's removed
-(heights count arcs into the giant, a sink of height 0).  ``decompose``
-builds the view once and keeps it as ``Decomposition.view``, which
-``outside_report`` and ``max_full_spectrum`` read; ``outside_view(g, giant)``
-builds the same view with the same helper.  Cycle enumeration and the
-longest-path DP read the labels instead of recomputing them, and W and the
-unreached count read the view's distances into the giant, which the view's
-builder computes with its heights; ``distance_to_giant(g, giant)`` builds a
-view for them.
-
-Spectrum sizes, eccentricities and arc excess come from one scan that runs a
-level-synchronous numpy BFS from every view vertex at once, over (source,
-vertex) pairs.  Whp the part outside the giant is mostly tree-like, so the
-closures are tiny (about 1.7 vertices each on average at n = 10^6, k = 2) and
-the whole scan costs about as much as a single BFS over the view.  A pair
-can repeat only where two walks meet, at a merge vertex, so only pairs there
-are deduplicated.  The same scan gives the full-digraph spectra exactly at
-every n: a vertex's spectrum is its closure in the view, plus the giant if an
-arc of that closure enters it.
+The statistics run on the view outside the giant, an :class:`OutsideView`
+that ``decompose`` keeps as ``Decomposition.view`` (``outside_view`` builds
+one from a digraph and its giant): cycle enumeration and the longest-path DP
+read its SCC labels, W and the unreached count its distances to the giant.
+Spectrum sizes, eccentricities, arc excess and the full-digraph spectra come
+from one scan of the view's forward closures (see ``_scan`` and
+``_full_spectra``).
 
 The exact searches stop at the module constants ``CYCLE_CAP`` (cycles in the
 view) and ``SCC_SIZE_CAP`` (vertices of one nontrivial component in the
@@ -190,14 +172,9 @@ def enumerate_cycles(view: OutsideView) -> tuple[list[list[int]], bool]:
     if len(found) > CYCLE_CAP:
         raise CycleCapError(CYCLE_CAP)
     found = sorted(set(found))
-    seen: set[int] = set()
-    disjoint = True
-    for cyc in found:
-        if disjoint and any(v in seen for v in cyc):
-            disjoint = False
-        seen.update(cyc)
+    on = [v for cyc in found for v in cyc]
     out = [[int(view.vertices[v]) for v in cyc] for cyc in found]
-    return out, disjoint
+    return out, len(on) == len(set(on))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +191,9 @@ class _ScanResult(NamedTuple):
 
 def _scan(view: OutsideView) -> _ScanResult:
     """Forward closure of every view vertex, as one level-synchronous BFS over
-    (source, vertex) pairs.
+    (source, vertex) pairs.  Whp the view is mostly tree-like, so the
+    closures are tiny (about 1.7 vertices each on average at n = 10^6,
+    k = 2), and the scan costs about as much as one BFS over the view.
 
     A pair (s, x) can come up twice only if x is a merge vertex: one with two
     in-arcs in the view (parallel arcs count), a self-loop, or a place in a

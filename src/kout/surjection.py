@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import derive_constants
-from .decompose import _core_mask
+from .decompose import _core_mask, _local
 from .digraph import RngSpec, _check_int, _indegree
 from .errors import InvariantViolationError, RejectionLimitError
 
@@ -84,14 +84,11 @@ def sample_surjection(m: int, k: int, rng: RngSpec) -> SurjectionSample:
             continue
         j = sizes.index(m)
         attempt = done + j + 1
-        # block j's core vertices, in increasing label order
-        first = sum(sizes[:j])
-        keep = np.flatnonzero(core)[first : first + m]
-        rank = np.full(b * n, -1, dtype=np.int64)
-        rank[keep] = np.arange(m)
-        mapping = rank[endpoints.take(keep, axis=0)]
-        # the core is closed, so no arc can have left it
-        if mapping.min() < 0:
+        # block j's core vertices, in increasing label order, relabelled
+        keep = np.flatnonzero(core[j * n : (j + 1) * n]) + j * n
+        mapping = _local(endpoints, keep)[0].astype(np.int64, copy=False)
+        # the core is closed, so no arc can have left it (read as m)
+        if mapping.max() == m:
             raise InvariantViolationError(
                 f"attempt {attempt}: an arc leaves the one-in-core "
                 f"(m={m}, n={n}, k={k})"

@@ -69,13 +69,14 @@ def test_replicate_cross_field_invariants():
 
 
 def test_serial_parallel_identical(tmp_path):
-    cfg = ExperimentConfig(n=120, k=2, reps=12, seed=7)
-    serial = run_experiment(cfg, workers=1)
-    parallel = run_experiment(cfg, workers=2)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(serial, str(p1))
-    write_csv(parallel, str(p2))
-    assert strip_ms(p1) == strip_ms(p2)
+    # 12 replicates on 2 workers run one per chunk; 37 on 2 and 53 on 3 run
+    # chunks of reps // (workers * 8) = 2, the last one short
+    for reps, workers in [(12, 2), (37, 2), (53, 3)]:
+        cfg = ExperimentConfig(n=120, k=2, reps=reps, seed=7)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(run_experiment(cfg, workers=1), str(p1))
+        write_csv(run_experiment(cfg, workers=workers), str(p2))
+        assert strip_ms(p1) == strip_ms(p2)
 
 
 def test_kout_threads_env(tmp_path, monkeypatch):
@@ -118,14 +119,14 @@ def test_csv_round_trip(tmp_path):
 def test_csv_header_only_for_empty(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv([], str(path))
-    lines = open(path).read().splitlines()
+    lines = path.read_text().splitlines()
     assert lines == [",".join(CSV_COLUMNS)]
 
 
 def test_csv_single_record_two_lines(tmp_path):
     cfg = ExperimentConfig(n=10, k=2, reps=1, seed=2)
     write_csv(run_experiment(cfg, workers=1), str(tmp_path / "one.csv"))
-    assert len(open(tmp_path / "one.csv").read().splitlines()) == 2
+    assert len((tmp_path / "one.csv").read_text().splitlines()) == 2
 
 
 def test_json_summary_schema(tmp_path):
@@ -134,7 +135,7 @@ def test_json_summary_schema(tmp_path):
     summary = summarize(records, derive_constants(2))
     path = tmp_path / "s.json"
     write_json(summary, str(path))
-    doc = json.loads(open(path).read())
+    doc = json.loads(path.read_text())
     assert set(doc) >= {
         "n",
         "k",
@@ -157,7 +158,7 @@ def test_write_json_records(tmp_path):
     records = run_experiment(cfg, workers=1)
     path = tmp_path / "r.json"
     write_json(records, str(path))
-    doc = json.loads(open(path).read())
+    doc = json.loads(path.read_text())
     assert len(doc) == 2 and doc[0]["replicate"] == 0
     assert isinstance(doc[0]["cycle_hist"], dict)
 
@@ -300,13 +301,23 @@ def test_replicate_error_tagged(monkeypatch):
 
 
 def test_cap_error_keeps_type_across_worker_pool(monkeypatch):
-    # the forked workers inherit the patched cap
+    # the forked workers inherit the patched cap.  Replicates 0-2 have no
+    # cycle outside the giant; 3, the second of its chunk, is the first that
+    # meets the cap, and later chunks fail too
     monkeypatch.setattr(outside, "CYCLE_CAP", 0)
-    cfg = ExperimentConfig(n=300, k=2, reps=20, seed=2)
+    cfg = ExperimentConfig(n=300, k=2, reps=37, seed=1)
+    with pytest.raises(CycleCapError) as serial:
+        run_experiment(cfg, workers=1)
+    assert serial.value.replicate == 3
     with pytest.raises(CycleCapError) as info:
         run_experiment(cfg, workers=2)
-    assert info.value.replicate is not None
+    assert info.value.replicate == serial.value.replicate
     assert str(info.value).startswith(f"replicate {info.value.replicate}: ")
+    # the pool that raised runs the next batch
+    pool = harness._pool
+    core = dataclasses.replace(cfg, collect=frozenset({"core"}))
+    assert _stripped(run_experiment(core, workers=2)) == _stripped(run_experiment(core, workers=1))
+    assert harness._pool is pool
 
 
 def _stripped(records) -> list[ReplicateRecord]:

@@ -136,3 +136,22 @@ def test_block_tables_after_the_accepted_one_are_discarded():
     rank = np.full(n, -1)
     rank[core] = np.arange(1000)
     assert np.array_equal(rank[endpoints[core]], s.mapping)
+
+
+def test_large_draw_keeps_an_int64_surjective_mapping():
+    # at m = 30,000 the block is one table of n * k >= 2**16 arcs, which the
+    # relabelling stores as int32; the mapping stays int64 and is the
+    # accepted table's core in increasing label order
+    m = 30_000
+    spec = RngSpec(2)
+    s = sample_surjection(m, 2, spec)
+    assert s.mapping.dtype == np.int64 and s.mapping.shape == (m, 2)
+    assert s.is_surjective()
+    n = 37_651  # ceil(30000 / nu_2)
+    gen = spec.generator()
+    for _ in range(s.retries):
+        endpoints = gen.integers(0, n, size=(n, 2))
+    core = one_in_core(KOutDigraph(n, 2, endpoints))
+    rank = np.full(n, -1)
+    rank[core] = np.arange(m)
+    assert np.array_equal(rank[endpoints[core]], s.mapping)
