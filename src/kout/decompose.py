@@ -29,8 +29,8 @@ just those: whp a few vertices, in microseconds; three in four replicates
 at n = 2*10^4 have fewer than two and make no call.
 When F is not one SCC (at small n, or when the largest SCC reaches an
 absorbing vertex), the same steps run without F, and the search labels the
-whole one-in-core, at about 5 us per core vertex.  That fallback is rare at
-large n.
+whole one-in-core (2.2-3.1 s for 796,216 vertices at n = 10^6,
+``BENCH_27.json``).  That fallback is rare at large n.
 
 Heights and distances to F (a sink of height 0) take one pass of the view
 outside F over the rounds of the core peel (see ``_rest`` and
@@ -40,10 +40,10 @@ whp (about sqrt(n) at k = 1).  Every vertex reaches some closed component,
 so every vertex reaches the giant iff the giant is the only closed
 component.
 
-The vertices outside F, with their CSR, ids, heights and distances, are the
-view outside the giant whenever F is the giant.  Otherwise (F is not one
-SCC, or a larger closed SCC lies elsewhere) the same steps run once more
-with the giant as the sink.
+The vertices outside F, with their local out-table, ids, heights and
+distances, are the view outside the giant whenever F is the giant.
+Otherwise (F is not one SCC, or a larger closed SCC lies elsewhere) the same
+steps run once more with the giant as the sink.
 
 Index arrays are stored in the dtype of ``digraph._index_dtype`` (see
 ``KOutDigraph`` for the keys that must be int64).  Large selections use
@@ -81,15 +81,15 @@ PULL_RATIO = 4
 @dataclass
 class OutsideView:
     """Induced subgraph on the vertices outside a closed SCC (the giant),
-    relabelled to local ids 0 .. size - 1.  The giant is closed, so no path
-    between two vertices outside it passes through it: the view's SCCs are
-    the host's other than the giant.  Its component ids and heights are the
-    host's with the giant's removed: ids by (height, smallest label),
+    relabelled to local ids 0 .. size - 1, as a k-out table whose value
+    ``size`` is the giant, one absorbing state.  The giant is closed, so no
+    path between two vertices outside it passes through it: the view's SCCs
+    are the host's other than the giant.  Its component ids and heights are
+    the host's with the giant's removed: ids by (height, smallest label),
     heights counting arcs into the giant, a sink of height 0."""
 
     vertices: np.ndarray  # sorted original ids (index dtype)
-    indptr: np.ndarray  # (size + 1,) int64 CSR row pointers over local ids
-    indices: np.ndarray  # local heads of arcs staying outside, repeats kept (index dtype)
+    table: np.ndarray  # (size, k) local heads, size marking an arc into the giant (index dtype)
     comp: np.ndarray  # (size,) canonical SCC id per local vertex (index dtype)
     height: np.ndarray  # per SCC id, its height in the host, nondecreasing (int32)
     dist: np.ndarray  # (size,) int32 arcs to the giant, -1 where out of reach
@@ -99,12 +99,11 @@ class OutsideView:
         return self.vertices.size
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(source, target) local ids of every arc, in CSR order."""
-        return np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices
-
-    def row(self, v: int) -> list[int]:
-        """Local endpoints of the arcs from local vertex v (with multiplicity)."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
+        """(source, target) local ids of every arc that stays in the view, in
+        (source, label) order."""
+        heads = self.table.ravel()
+        at = np.flatnonzero(heads < self.size)
+        return at // self.table.shape[1], heads.take(at)
 
 
 @dataclass
@@ -299,22 +298,16 @@ def _sweep(
 
 def _local(
     table: np.ndarray, verts: np.ndarray, rounds: Iterable[np.ndarray] = ()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """The out-table that ``table`` (heads 0 .. rows, the number of rows
     marking an arc out of the table) induces on the sorted vertices
     ``verts``, relabelled 0 .. m - 1 with m = verts.size marking an arc out of
-    ``verts``; then its count of arcs that stay per row, the CSR of those
-    arcs, and ``rounds``, lists of vertices of ``verts``, relabelled.  On a
-    view's local table the map is view-sized."""
+    ``verts``, and ``rounds``, lists of vertices of ``verts``, relabelled.  On
+    a view's local table the map is view-sized."""
     m = verts.size
     local_of = np.full(table.shape[0] + 1, m, dtype=_index_dtype(*table.shape))
     local_of[verts] = np.arange(m)
-    rounds = [local_of.take(r) for r in rounds]
-    local = local_of.take(table.take(verts, axis=0))
-    del local_of
-    stays = local < m
-    counts = _by_row(np.add, stays, np.int64)
-    return local, counts, _row_pointers(counts), local.ravel().compress(stays.ravel()), rounds
+    return local_of.take(table.take(verts, axis=0)), [local_of.take(r) for r in rounds]
 
 
 def _core_levels(
@@ -331,7 +324,10 @@ def _core_levels(
     with an arc into the sink, gives their distances, int32 max where out of
     reach."""
     k = table.shape[1]
-    sub, _, ptr, idx, _ = _local(table, inner)
+    sub = _local(table, inner)[0]
+    inside = sub < inner.size  # the arcs that stay among them
+    stay = _by_row(np.add, inside, np.int64)
+    ptr, idx = _row_pointers(stay), sub.ravel().compress(inside.ravel())
     one = (inner.size, np.zeros(inner.size, dtype=np.int64))  # fewer than two
     nlabels, labels = _scc_labels(ptr, idx) if inner.size > 1 else one
     low = np.full(nlabels, inner.size, dtype=np.int64)
@@ -343,7 +339,6 @@ def _core_levels(
     for c in range(1, nlabels + 1):
         height[c] = 1 + max([height[d] for d in succ[bounds[c] : bounds[c + 1]]], default=-1)
     dist = np.full(inner.size, np.iinfo(np.int32).max, dtype=np.int32)
-    stay = np.diff(ptr)
     into = np.flatnonzero(stay < k)  # the rows with an arc into the sink
     if into.size:
         seen = np.zeros(inner.size + 1, dtype=bool)
@@ -368,20 +363,21 @@ def _rest(
     vertices (whp a few, once the giant is the sink), before the view's
     table is built: the Tarjan search, in pure Python, sets the peak of the
     whole-core fallback.  One local out-table of the view, with m (its size)
-    marking an arc into the sink, gives the CSR and the rest of the heights
-    and distances, the sink counting 0 for both.  Every other view vertex is a
-    singleton without a self-loop, deleted by the peel, and its arcs lead to
-    the core, the sink or vertices deleted in later rounds.  So, last round
-    first, each takes 1 + the max of its heads' heights and 1 + the min of
-    their distances, one numpy step per round; a row whose arcs all enter
-    the sink has both 1 without a look.
+    marking an arc into the sink, is the view's table and gives the rest of
+    the heights and distances, the sink counting 0 for both.  Every other
+    view vertex is a singleton without a self-loop, deleted by the peel, and
+    its arcs lead to the core, the sink or vertices deleted in later rounds.
+    So, last round first, each takes 1 + the max of its heads' heights and
+    1 + the min of their distances, one numpy step per round; a row whose
+    arcs all enter the sink has both 1 without a look.
     """
     dtype = _index_dtype(*endpoints.shape)
     verts = _members(~sink, dtype)
     m = verts.size
     inner = np.flatnonzero(core[verts])
     low, high, near = _core_levels(endpoints, verts.take(inner))
-    table, counts, indptr, indices, rounds = _local(endpoints, verts, rounds)
+    table, rounds = _local(endpoints, verts, rounds)
+    live = _by_row(np.logical_or, table < m)  # the rows with an arc that stays
     rep = np.arange(m, dtype=dtype)  # smallest local member of each vertex's component
     rep[inner] = inner.take(low)
     level = np.ones(m + 1, dtype=np.int32)
@@ -390,12 +386,11 @@ def _rest(
     level[m] = dist[m] = 0
     top = np.iinfo(np.int32).max  # out of reach
     for rows in reversed(rounds):
-        rows = rows.compress(counts.take(rows) > 0)
+        rows = rows.compress(live.take(rows))
         heads = table.take(rows, axis=0)
         level[rows] = _by_row(np.maximum, level.take(heads)) + 1
         d = _by_row(np.minimum, dist.take(heads))
         dist[rows] = d + (d < top)
-    del table, counts
     dist[dist == top] = -1
     reps = np.flatnonzero(rep == np.arange(m, dtype=dtype))
     height = level[reps]
@@ -403,7 +398,7 @@ def _rest(
     order = np.argsort(height, kind="stable")
     canon = np.zeros(m, dtype=dtype)  # the id of each component, at its rep
     canon[reps.take(order)] = np.arange(reps.size)
-    return OutsideView(verts, indptr, indices, canon.take(rep), height.take(order), dist[:m])
+    return OutsideView(verts, table, canon.take(rep), height.take(order), dist[:m])
 
 
 def _core_mask(endpoints: np.ndarray, indeg: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -78,7 +78,7 @@ def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
 def _induced_simple(view: OutsideView, comp) -> dict[int, list[int]]:
     """Loop-free, deduplicated adjacency of the subgraph induced on ``comp``."""
     inside = set(comp)
-    return {v: sorted((set(view.row(v)) & inside) - {v}) for v in comp}
+    return {v: sorted((set(view.table[v].tolist()) & inside) - {v}) for v in comp}
 
 
 def _nontrivial_members(view: OutsideView) -> dict[int, list[int]]:
@@ -211,18 +211,18 @@ def _scan(view: OutsideView) -> _ScanResult:
     offered again at merge vertices, minus 1.  Sources go in blocks of
     ``SCAN_BLOCK``, which bounds the pairs held at a time.
     """
-    m = view.size
-    indptr, indices = view.indptr, view.indices
-    outdeg = np.diff(indptr)
-    sources = np.flatnonzero(outdeg > 0)  # the rest keep a singleton spectrum
+    m, table = view.size, view.table
+    k = table.shape[1]
+    tails, heads = view.arcs()
+    outdeg = np.bincount(tails, minlength=m)
+    sources = np.flatnonzero(outdeg)  # the rest keep a singleton spectrum
     if outdeg.max(initial=0) > 1:
-        merge = np.bincount(indices, minlength=m) >= 2
+        merge = np.bincount(heads, minlength=m) >= 2
     else:
         merge = np.zeros(m, dtype=bool)
     # an arc inside its own component is a self-loop or lies in a nontrivial SCC
     comp = view.comp
-    inside = np.repeat(comp.take(sources), outdeg.take(sources)) == comp.take(indices)
-    merge[indices.compress(inside)] = True
+    merge[heads.compress(comp.take(tails) == comp.take(heads))] = True
     sizes = np.ones(m, dtype=np.int64)
     eccs = np.zeros(m, dtype=np.int64)
     excess = np.full(m, -1, dtype=np.int64)
@@ -234,13 +234,9 @@ def _scan(view: OutsideView) -> _ScanResult:
         reached, offered, taken = [], [], []
         level = 0
         while src.size:
-            deg = outdeg.take(dst)
-            live = deg > 0
-            src, dst, deg = src.compress(live), dst.compress(live), deg.compress(live)
-            ends = np.cumsum(deg)
-            at = np.repeat(indptr.take(dst) - ends + deg, deg) + np.arange(deg.sum())
-            dst = indices.take(at)
-            src = np.repeat(src, deg)
+            dst = table.take(dst, axis=0).ravel()
+            stays = dst < m
+            dst, src = dst.compress(stays), np.repeat(src, k).compress(stays)
             again = merge.take(dst)
             offered.append(src.compress(again))
             keys = _distinct(offered[-1] * m + dst.compress(again))

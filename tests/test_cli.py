@@ -330,6 +330,21 @@ def test_failure_exit_code(tmp_path, monkeypatch, capsys, argv, patch, code, lab
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"{label}: ")
 
 
+def test_an_unexpected_error_ends_with_its_traceback(monkeypatch):
+    # only the documented failures become exit codes; anything else propagates
+    def broken(args):
+        raise RuntimeError("not a documented failure")
+
+    monkeypatch.setattr(cli, "_cmd_constants", broken)
+    with pytest.raises(RuntimeError, match="not a documented failure"):
+        main(["constants", "--k", "2"])
+
+
+def test_json_hook_refuses_what_is_not_numpy():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli._tolist(object())
+
+
 def test_entry_point_exit_code(tmp_path):
     proc = _run_python("-m", "kout", "analyze", "--in", str(tmp_path / "missing.json"))
     assert proc.returncode == 3

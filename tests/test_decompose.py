@@ -461,7 +461,7 @@ def test_decomposition_arrays_are_stored_as_int32():
     d = decompose(generate(40_000, 2, RngSpec(13, 3)))
     for name in ("scc_id", "giant", "one_in_core"):
         assert getattr(d, name).dtype == np.int32, name
-    for name in ("vertices", "indices", "comp"):
+    for name in ("vertices", "table", "comp"):
         assert getattr(d.view, name).dtype == np.int32, name
 
 
@@ -478,7 +478,7 @@ def test_int32_and_int64_storage_give_the_same_decomposition(rows):
     narrow, wide = got[np.int32], got[np.int64]
     for name in ("scc_id", "height", "giant", "one_in_core"):
         assert np.array_equal(getattr(wide, name), getattr(narrow, name)), name
-    for name in ("vertices", "indptr", "indices", "comp", "height", "dist"):
+    for name in ("vertices", "table", "comp", "height", "dist"):
         assert np.array_equal(getattr(wide.view, name), getattr(narrow.view, name)), name
 
 
@@ -511,7 +511,7 @@ def test_decompose_finds_the_giant_when_the_closure_is_not_strong_on_an_int32_ta
     assert np.array_equal(d.one_in_core, v)
     assert d.scc_id.tolist() == [1] + [0] * (n - 1) and d.height.tolist() == [0, 1]
     assert d.all_reach_giant
-    assert d.view.vertices.tolist() == [0] and d.view.row(0) == [0]
+    assert d.view.vertices.tolist() == [0] and d.view.table.tolist() == [[1, 0]]
 
 
 def test_decompose_sees_a_strong_closure_on_an_int32_table():
@@ -635,13 +635,13 @@ def test_backward_sweep_pushes_first_and_pulls_last_at_100k():
     assert np.array_equal(d.giant, np.flatnonzero(rest.call_args.args[3]))
 
 
-def _scipy_distances_to_sink(view, k: int) -> np.ndarray:
+def _scipy_distances_to_sink(view) -> np.ndarray:
     """Arcs from each view vertex to the giant, -1 where out of reach: scipy's
     BFS from a super-sink m over the reversed view, whose row v gets an arc
     from the sink once v has an arc into the giant."""
     m = view.size
     tails, heads = view.arcs()
-    into_sink = np.flatnonzero(np.diff(view.indptr) < k)
+    into_sink = np.flatnonzero((view.table == m).any(axis=1))
     src = np.concatenate([heads, np.full(into_sink.size, m)])
     dst = np.concatenate([tails, into_sink])
     mat = coo_matrix((np.ones(src.size), (src, dst)), shape=(m + 1, m + 1)).tocsr()
@@ -654,7 +654,7 @@ def test_view_distances_match_a_scipy_bfs_from_a_super_sink_at_2e4():
     for k, seed in ((1, 1), (2, 5), (3, 7)):
         g = generate(20_000, k, RngSpec(seed, 0))
         d = decompose(g)
-        assert np.array_equal(d.view.dist, _scipy_distances_to_sink(d.view, k)), k
+        assert np.array_equal(d.view.dist, _scipy_distances_to_sink(d.view)), k
         assert d.view.dist.dtype == np.int32
 
 

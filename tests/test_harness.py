@@ -213,6 +213,31 @@ def test_tv_joint():
     assert tv_joint_to_poisson(pairs, 1.0, 2.0) > 0.2
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ks_statistic_normal([]), "need at least one sample"),
+        (lambda: poisson_pmf_folded(1.0, 0), "need at least one bucket"),
+        (lambda: tv_to_poisson([], 1.0), "need at least one observation"),
+        (
+            lambda: tv_joint_to_poisson([[1, 2, 3]], 1.0, 1.0),
+            r"pairs must be a nonempty sequence of \(a, b\) counts",
+        ),
+    ],
+    ids=["ks-empty", "pmf-no-bucket", "tv-empty", "tv-joint-not-pairs"],
+)
+def test_statistics_reject_empty_or_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_read_csv_rejects_a_foreign_header(tmp_path):
+    path = tmp_path / "foreign.csv"
+    path.write_text("replicate,seed\n0,1\n")
+    with pytest.raises(ValueError, match=r"unexpected CSV header: \['replicate', 'seed'\]"):
+        read_csv(str(path))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n=10, k=2, reps=0, seed=1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kout import oracle
 from kout.constants import solve_tau
 from kout.oracle import (
     brute_cycles,
@@ -241,3 +242,13 @@ def test_enumerate_visitor_sees_all():
 def test_enumerate_guards():
     with pytest.raises(ValueError):
         enumerate_all(5, 3)  # 5^15 is over the limit
+
+
+def test_brute_k_surjection_sets_refuses_more_than_24_vertices(monkeypatch):
+    # the sweep must not start: 2^25 subsets are far beyond desk scale
+    def sweep(row_mask):
+        raise AssertionError("the subset sweep ran")
+
+    monkeypatch.setattr(oracle, "_closed_surjective_masks", sweep)
+    with pytest.raises(ValueError, match=r"subset sweep limited to n <= 24, got 25"):
+        brute_k_surjection_sets([[0]] * 25)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from conftest import digraph_from_rows, endpoint_tables
 from kout import outside
 from kout.decompose import decompose
-from kout.digraph import RngSpec, generate
+from kout.digraph import RngSpec, _row_pointers, generate
 from kout.errors import ComponentCapError, CycleCapError
 from kout.oracle import (
     brute_cycles,
@@ -532,13 +532,15 @@ def test_one_scc_pass_per_replicate_on_the_core_outside_the_giant():
         rest_sizes.append(rest.size)
         assert spy.call_count == int(rest.size >= 2)
         if spy.call_count:
-            want = decompose_module._local(g.endpoints, rest)[2:4]
+            sub = decompose_module._local(g.endpoints, rest)[0]
+            stays = sub < rest.size
+            want = _row_pointers(stays.sum(axis=1)), sub[stays]
             assert all(np.array_equal(a, b) for a, b in zip(spy.call_args.args, want))
     assert max(rest_sizes) >= 2 and min(rest_sizes) < 2  # both cases were seen
 
 
 def assert_same_view(a, b):
-    for field in ("vertices", "indptr", "indices", "comp", "height", "dist"):
+    for field in ("vertices", "table", "comp", "height", "dist"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and np.array_equal(x, y), field
 
@@ -558,6 +560,35 @@ def test_report_view_equals_outside_view_at_1e5():
     d = decompose(g)
     assert d.view.size == g.n - d.giant.size
     assert_same_view(d.view, outside_view(g, d.giant))
+
+
+def assert_view_table(g, d):
+    """The view's table is the host rows of its vertices, relabelled to their
+    positions, with every giant vertex read as the view's size; its arcs are
+    the entries below the size, in (source, label) order."""
+    view = d.view
+    m = view.size
+    assert np.array_equal(np.setdiff1d(np.arange(g.n), view.vertices), d.giant)
+    local = dict(zip(view.vertices.tolist(), range(m)))
+    want = [[local.get(u, m) for u in g.endpoints[v].tolist()] for v in view.vertices.tolist()]
+    assert view.table.shape == (m, g.k) and view.table.dtype == view.vertices.dtype
+    assert view.table.tolist() == want
+    rows, labels = np.nonzero(view.table < m)
+    src, dst = view.arcs()
+    assert np.array_equal(src, rows)
+    assert np.array_equal(dst, view.table[rows, labels])
+
+
+@settings(max_examples=80)
+@given(endpoint_tables(max_n=10, max_k=3))
+def test_view_table_is_the_relabelled_host_rows(rows):
+    g = digraph_from_rows(rows)
+    assert_view_table(g, decompose(g))
+
+
+def test_view_table_is_the_relabelled_host_rows_at_1e5():
+    g = generate(100_000, 2, RngSpec(13, 2))
+    assert_view_table(g, decompose(g))
 
 
 @pytest.mark.parametrize(
