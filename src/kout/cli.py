@@ -117,6 +117,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    if args.stream >= 2**64 - 1:
+        raise ValueError(
+            "distance needs stream < 2**64 - 1 (its pairs draw from stream + 1), "
+            f"got {args.stream}"
+        )
     g = digraph.generate(args.n, args.k, digraph.RngSpec(args.seed, args.stream))
     t0 = time.perf_counter()
     sample = typical_distance(g, args.pairs, digraph.RngSpec(args.seed, args.stream + 1))

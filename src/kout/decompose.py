@@ -25,12 +25,12 @@ is one closed SCC; whp it is, and it is the giant.  Both are runs of
 is closed, so every other SCC lies outside it, and every cycle lies in the
 one-in-core, so only the core vertices outside F can share a component.
 ``_scc_labels``, an iterative Tarjan (1972) search in pure Python, labels
-just those: whp a few vertices, in microseconds; three in four replicates
-at n = 2*10^4 have fewer than two and make no call.
+just those, on their local out-table: whp a few vertices, in microseconds;
+three in four replicates at n = 2*10^4 have fewer than two and make no call.
 When F is not one SCC (at small n, or when the largest SCC reaches an
 absorbing vertex), the same steps run without F, and the search labels the
-whole one-in-core (2.2-3.1 s for 796,216 vertices at n = 10^6,
-``BENCH_27.json``).  That fallback is rare at large n.
+whole one-in-core (about 2 s for 796,216 vertices at n = 10^6,
+``BENCH_30.json``).  That fallback is rare at large n.
 
 Heights and distances to F (a sink of height 0) take one pass of the view
 outside F over the rounds of the core peel (see ``_rest`` and
@@ -175,14 +175,15 @@ def _split(values: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _scc_labels(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, np.ndarray]:
-    """(number of SCCs, SCC label per vertex) of a CSR digraph whose rows may
-    be unsorted, repeat a head or be empty.  Tarjan's (1972) search, iterative
-    and linear in vertices plus arcs; labels are assigned as components
-    complete, so they are reverse topological."""
-    n = indptr.size - 1
-    ptr, heads = indptr.tolist(), indices.tolist()
-    nxt = ptr[:-1]  # the next arc to follow out of each vertex
+def _scc_labels(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """(number of SCCs, SCC label per row) of the out-table ``table``, whose
+    rows may repeat a head; a head at or past the row count is an arc out of
+    the table and is skipped.  Tarjan's (1972) search, iterative and linear
+    in rows plus arcs; labels are assigned as components complete, so they
+    are reverse topological."""
+    n, k = table.shape
+    heads = table.ravel().tolist()
+    nxt = list(range(0, n * k, k))  # the next arc to follow out of each vertex
     order = [-1] * n  # discovery index, -1 until visited
     low = [0] * n
     label = [-1] * n  # -1 while the vertex is on the stack or unvisited
@@ -198,9 +199,11 @@ def _scc_labels(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, np.ndarra
         while path:
             v = path[-1]
             i = nxt[v]
-            if i < ptr[v + 1]:
+            if i < v * k + k:
                 nxt[v] = i + 1
                 w = heads[i]
+                if w >= n:
+                    continue
                 if order[w] < 0:
                     order[w] = low[w] = count
                     count += 1
@@ -317,19 +320,16 @@ def _core_levels(
     height, distance to the sink) of each core vertex of a view, from the
     sorted ids ``inner`` of those vertices in the out-table ``table``.  The
     core is closed, so their arcs stay among them or enter the sink, and
-    only they can share a component; ``_scc_labels`` labels them (no call for
-    fewer than two).  Its labels are reverse topological, so one pass over
-    their quotient in label order gives each component's height, the sink
+    only they can share a component; ``_scc_labels`` labels them on their
+    local out-table, the sink as the arc out of it (no call for fewer than
+    two).  Its labels are reverse topological, so one pass over their
+    quotient in label order gives each component's height, the sink
     counting 0.  A push-only ``_sweep`` over their reverse arcs, from the rows
     with an arc into the sink, gives their distances, int32 max where out of
     reach."""
-    k = table.shape[1]
     sub = _local(table, inner)[0]
-    inside = sub < inner.size  # the arcs that stay among them
-    stay = _by_row(np.add, inside, np.int64)
-    ptr, idx = _row_pointers(stay), sub.ravel().compress(inside.ravel())
     one = (inner.size, np.zeros(inner.size, dtype=np.int64))  # fewer than two
-    nlabels, labels = _scc_labels(ptr, idx) if inner.size > 1 else one
+    nlabels, labels = _scc_labels(sub) if inner.size > 1 else one
     low = np.full(nlabels, inner.size, dtype=np.int64)
     np.minimum.at(low, labels, np.arange(inner.size))
     # the sink takes label 0, below every component with an arc into it
@@ -339,12 +339,13 @@ def _core_levels(
     for c in range(1, nlabels + 1):
         height[c] = 1 + max([height[d] for d in succ[bounds[c] : bounds[c + 1]]], default=-1)
     dist = np.full(inner.size, np.iinfo(np.int32).max, dtype=np.int32)
-    into = np.flatnonzero(stay < k)  # the rows with an arc into the sink
+    # the rows with an arc into the sink
+    into = np.flatnonzero(_by_row(np.logical_or, sub == inner.size))
     if into.size:
         seen = np.zeros(inner.size + 1, dtype=bool)
         seen[-1] = True  # the sink
-        rev = _row_pointers(np.bincount(idx, minlength=inner.size))
-        tails = _reverse_tails(sub, idx.dtype, np.flatnonzero(stay))
+        # the arcs into the sink make the last row and the last tails
+        rev, tails = _row_pointers(_indegree(sub)), _reverse_tails(sub, sub.dtype)
         for d, front in enumerate(_sweep(seen, into, lambda f: _rows(rev, tails, f)), 1):
             dist[front] = d
     return low.take(labels - 1), np.array(height, dtype=np.int32).take(labels), dist

@@ -265,9 +265,14 @@ def digraph_to_json(g: KOutDigraph) -> str:
 def digraph_from_json(text: str) -> KOutDigraph:
     try:
         obj = json.loads(text)
-        n, k = obj["n"], obj["k"]
+        n, k, rows = obj["n"], obj["k"], obj["endpoints"]
         if type(n) is not int or type(k) is not int:
             raise ValueError(f"malformed digraph JSON: n={n!r}, k={k!r} are not integers")
-        return KOutDigraph(n, k, np.asarray(obj["endpoints"]))
+        if any(type(row) is not list or len(row) != k for row in rows):
+            raise ValueError(f"malformed digraph JSON: endpoints rows must hold k={k} entries")
+        # numpy would read true and false among integers as 1 and 0
+        if any(type(u) is not int for row in rows for u in row):
+            raise ValueError("malformed digraph JSON: endpoints must be integers")
+        return KOutDigraph(n, k, np.asarray(rows))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed digraph JSON: {exc}") from exc

@@ -32,10 +32,11 @@ from .decompose import (
     OutsideView,
     _core_mask,
     _distinct,
+    _local,
     _rest,
     _scc_labels,
 )
-from .digraph import KOutDigraph, _indegree, _row_pointers
+from .digraph import KOutDigraph, _indegree
 from .errors import ComponentCapError, CycleCapError
 
 __all__ = [
@@ -62,31 +63,18 @@ def outside_view(g: KOutDigraph, giant_set: np.ndarray) -> OutsideView:
     return _rest(g.endpoints, *_core_mask(g.endpoints, _indegree(g.endpoints)), sink)
 
 
-def _nontrivial_sccs(adj: dict[int, list[int]]) -> list[set[int]]:
-    """Vertex sets of the SCCs with at least two vertices of ``adj``."""
-    ids = sorted(adj)
-    pos = {v: i for i, v in enumerate(ids)}
-    indptr = _row_pointers(np.array([len(adj[v]) for v in ids], dtype=np.int64))
-    indices = np.array([pos[u] for v in ids for u in adj[v]], dtype=np.int64)
-    _, labels = _scc_labels(indptr, indices)
-    groups: dict[int, set[int]] = {}
-    for v, c in zip(ids, labels.tolist()):
-        groups.setdefault(c, set()).add(v)
-    return [grp for grp in groups.values() if len(grp) >= 2]
-
-
 def _induced_simple(view: OutsideView, comp) -> dict[int, list[int]]:
     """Loop-free, deduplicated adjacency of the subgraph induced on ``comp``."""
     inside = set(comp)
     return {v: sorted((set(view.table[v].tolist()) & inside) - {v}) for v in comp}
 
 
-def _nontrivial_members(view: OutsideView) -> dict[int, list[int]]:
-    """Local members, ascending, of each view SCC with at least two vertices."""
-    big = np.bincount(view.comp, minlength=view.height.size) >= 2
-    verts = np.flatnonzero(big[view.comp])
+def _nontrivial(ids: np.ndarray, labels: np.ndarray) -> dict[int, list[int]]:
+    """For each label that at least two of the ascending ``ids`` carry, those
+    ids in ascending order."""
+    keep = (np.bincount(labels) >= 2)[labels]
     groups: dict[int, list[int]] = {}
-    for v, c in zip(verts.tolist(), view.comp[verts].tolist()):
+    for v, c in zip(ids[keep].tolist(), labels[keep].tolist()):
         groups.setdefault(c, []).append(v)
     return groups
 
@@ -157,17 +145,14 @@ def enumerate_cycles(view: OutsideView) -> tuple[list[list[int]], bool]:
     # self-loops: length-1 cycles, one per vertex regardless of multiplicity
     found: list[tuple[int, ...]] = [(v,) for v in np.unique(src[src == dst]).tolist()]
     # longer cycles live inside the view's nontrivial SCCs, on the simple graph
-    components = [set(members) for members in _nontrivial_members(view).values()]
+    components = list(_nontrivial(np.arange(view.size), view.comp).values())
     emitted: list[list[int]] = []
     while components:
         comp = components.pop()
-        sub = _induced_simple(view, comp)
-        root = min(comp)
-        _johnson_cycles_from(root, sub, emitted, CYCLE_CAP - len(found))
-        comp.discard(root)
-        rest = {v: [u for u in sub[v] if u != root] for v in comp}
-        if rest:
-            components.extend(_nontrivial_sccs(rest))
+        _johnson_cycles_from(comp[0], _induced_simple(view, comp), emitted, CYCLE_CAP - len(found))
+        # the cycles avoiding the smallest member lie in the SCCs of the rest
+        ids = np.array(comp[1:])
+        components.extend(_nontrivial(ids, _scc_labels(_local(view.table, ids)[0])[1]).values())
     found.extend(_rotate_min(c) for c in emitted)
     if len(found) > CYCLE_CAP:
         raise CycleCapError(CYCLE_CAP)
@@ -338,7 +323,7 @@ def longest_path(view: OutsideView) -> int:
     top = int(view.height[-1])
     bounds = np.searchsorted(level[by_level], np.arange(top + 2)).tolist()
     nontrivial: dict[int, list[list[int]]] = {}
-    for c, members in _nontrivial_members(view).items():
+    for c, members in _nontrivial(np.arange(view.size), view.comp).items():
         nontrivial.setdefault(int(view.height[c]), []).append(members)
 
     best = np.zeros(view.size, dtype=np.int64)  # longest path ending at v

@@ -110,6 +110,8 @@ def test_distance_cli(capsys):
         ("--pairs", "0", "pairs must be >= 1"),
         ("--n", "0", "n must be >= 1"),
         ("--seed", "-1", "seed must be a 64-bit unsigned integer"),
+        # the pairs draw from stream + 1, so the last 64-bit stream leaves none
+        ("--stream", str(2**64 - 1), f"draw from stream + 1), got {2**64 - 1}\n"),
     ],
 )
 def test_distance_invalid_value_exit_code(capsys, flag, value, message):
@@ -120,6 +122,23 @@ def test_distance_invalid_value_exit_code(capsys, flag, value, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("invalid input: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "endpoints, message",
+    [
+        ("[[0], [true]]", "endpoints must be integers"),
+        ("[[0], [1, 2]]", "endpoints rows must hold k=1 entries"),
+    ],
+    ids=["bool-among-integers", "ragged-rows"],
+)
+def test_analyze_rejects_malformed_json_endpoints(tmp_path, capsys, endpoints, message):
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"n": 2, "k": 1, "endpoints": {endpoints}}}')
+    assert main(["analyze", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"invalid input: malformed digraph JSON: {message}")
 
 
 def test_invalid_value_exit_code_other_subcommands(tmp_path, capsys):

@@ -381,8 +381,14 @@ def test_json_form_schema():
         ('{"n": 2.0, "k": 1, "endpoints": [[1], [0]]}', "not integers"),
         ('{"n": 2, "k": "1", "endpoints": [[1], [0]]}', "not integers"),
         ('{"n": true, "k": 1, "endpoints": [[0]]}', "not integers"),
+        ('{"n": 2, "k": 1, "endpoints": [[0], [true]]}', "malformed.*must be integers"),
+        ('{"n": 2, "k": 1, "endpoints": [[0], [1, 2]]}', "malformed.*rows must hold k=1"),
+        ('{"n": 2, "k": 1, "endpoints": [[0], 1]}', "malformed.*rows must hold k=1"),
     ],
-    ids=["float-endpoints", "bool-endpoints", "float-n", "string-k", "bool-n"],
+    ids=[
+        "float-endpoints", "bool-endpoints", "float-n", "string-k", "bool-n",
+        "bool-among-integers", "ragged-rows", "row-not-a-list",
+    ],
 )
 def test_json_values_must_be_integers(text, message):
     # rejected, not truncated to integers

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from conftest import digraph_from_rows, endpoint_tables
 from kout import outside
 from kout.decompose import decompose
-from kout.digraph import RngSpec, _row_pointers, generate
+from kout.digraph import RngSpec, generate
 from kout.errors import ComponentCapError, CycleCapError
 from kout.oracle import (
     brute_cycles,
@@ -369,6 +369,23 @@ def test_giant_distances_match_brute_on_random_tables():
     assert min(unreached) == 0 and max(unreached) > 0  # both cases were seen
 
 
+def test_long_cycle_draining_into_the_giant():
+    # k = 2: a 5000-cycle with parallel arcs whose last vertex's second arc
+    # enters a closed 3-cycle.  The closure of vertex 0 is not one SCC, so the
+    # whole core is labelled first; the view is then one non-closed SCC whose
+    # distances come from a sweep around the cycle, not from the peel's rounds.
+    cycle = 5000
+    rows = [(v + 1, v + 1) for v in range(cycle - 1)] + [(0, cycle)]
+    rows += [(cycle + 1, cycle + 1), (cycle + 2, cycle + 2), (cycle, cycle)]
+    g, d, view = make_view(rows)
+    assert d.giant.tolist() == [cycle, cycle + 1, cycle + 2]
+    assert view.vertices.tolist() == list(range(cycle))
+    assert view.comp.tolist() == [0] * cycle and view.height.tolist() == [1]
+    assert view.dist.tolist() == [cycle - i for i in range(cycle)]
+    assert tuple(distance_to_giant(g, d.giant)) == (cycle, 0)
+    assert enumerate_cycles(view) == ([list(range(cycle))], True)
+
+
 def test_distances_alone_run_no_scan_and_build_no_view():
     # --collect distances reads the distances that decompose's view keeps
     g = generate(2000, 2, RngSpec(13, 1))
@@ -532,10 +549,8 @@ def test_one_scc_pass_per_replicate_on_the_core_outside_the_giant():
         rest_sizes.append(rest.size)
         assert spy.call_count == int(rest.size >= 2)
         if spy.call_count:
-            sub = decompose_module._local(g.endpoints, rest)[0]
-            stays = sub < rest.size
-            want = _row_pointers(stays.sum(axis=1)), sub[stays]
-            assert all(np.array_equal(a, b) for a, b in zip(spy.call_args.args, want))
+            (table,) = spy.call_args.args
+            assert np.array_equal(table, decompose_module._local(g.endpoints, rest)[0])
     assert max(rest_sizes) >= 2 and min(rest_sizes) < 2  # both cases were seen
 
 
@@ -603,7 +618,10 @@ def test_view_table_is_the_relabelled_host_rows_at_1e5():
 )
 def test_report_builds_no_second_view(rows):
     # outside_report and max_full_spectrum read the view that decompose keeps;
-    # create=True spies on a builder name even where outside does not import it
+    # create=True spies on a builder name even where outside does not import it.
+    # Johnson's re-split relabels a nontrivial view component minus its
+    # smallest member through outside's _local, which a view rebuild would
+    # call on the whole view.
     g = generate(2000, 2, RngSpec(13, 1)) if rows is None else digraph_from_rows(rows)
     d = decompose(g)
     builders = {name: getattr(decompose_module, name) for name in ("_local", "_rest")}
@@ -617,7 +635,11 @@ def test_report_builds_no_second_view(rows):
         }
         outside_report(g, d)
         max_full_spectrum(g, d)
+    resplits = spies.pop((outside.__name__, "_local")).call_args_list
     assert {key: spy.call_count for key, spy in spies.items()} == dict.fromkeys(spies, 0)
+    largest = np.bincount(d.view.comp).max(initial=0)
+    assert all(c.args[1].size < largest for c in resplits)
+    assert bool(resplits) == (largest >= 2)
 
 
 def test_report_rejects_unknown_collect_group():
