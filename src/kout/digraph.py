@@ -43,6 +43,7 @@ __all__ = [
 
 MAGIC = b"KOUT1"
 SIMPLE_ATTEMPT_CAP = 1_000_000
+REVERSE_BLOCK = 2**13  # rows or keys per step of the reverse table's build
 
 
 def _check_int(name: str, value, minimum: int = 0, bits: int | None = None) -> int:
@@ -108,14 +109,14 @@ class KOutDigraph:
         object.__setattr__(self, "endpoints", ep)
 
     @cached_property
-    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR of the reversed digraph: row v lists the tails of v's in-arcs.
+    def reverse_table(self) -> tuple[np.ndarray, int]:
+        """The reversed digraph as fixed-width rows (``_reverse_table``), and
+        the most entries that the rows of one vertex hold, padding counted.
 
-        Built on first use and kept, since the digraph does not change.  Both
-        arrays are int64: the pair search gathers through them on every step.
+        Built on first use and kept, since the digraph does not change: the
+        pair search gathers a whole level of in-arcs with one ``take``.
         """
-        indptr = _row_pointers(_indegree(self.endpoints))
-        return indptr, _reverse_tails(self.endpoints, np.int64)
+        return _reverse_table(self.endpoints)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KOutDigraph):
@@ -154,26 +155,107 @@ def _reverse_tails(endpoints: np.ndarray, dtype, rows: np.ndarray | None = None)
     ascending in each row; its row pointers are
     ``_row_pointers(_indegree(endpoints))``.  Given the vertex ids ``rows``,
     only the arcs out of those rows are kept, and the row pointers
-    are those of the in-degrees from them.  Sorting the keys
-    ``head << s | tail`` (s the bit length of n - 1) with numpy's vectorized
-    sort beats scipy's CSR -> CSC counting sort at n = 10^6 (whose scattered
-    writes miss the cache) and costs far less per call at small n.  The keys
-    are int64 whatever the table's dtype, since they need up to 2 * s bits,
-    and fit while n <= 2**31.  A shift and a mask in place of keys
-    ``head * n + tail`` and their remainder order the rows the same way for
-    less (``BENCH_22.json``, ``reverse_tails_1e6``)."""
+    are those of the in-degrees from them."""
+    keys, s = _reverse_keys(endpoints, rows)
+    tails = keys if keys.dtype == dtype else np.empty(keys.size, dtype=dtype)
+    return np.bitwise_and(keys, (1 << s) - 1, out=tails, casting="unsafe")
+
+
+def _reverse_keys(endpoints: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """The keys ``head << s | tail`` of the arcs out of ``rows`` (all rows
+    when None), sorted, and s, the bit length of n - 1.  Sorting them with
+    numpy's vectorized sort beats scipy's CSR -> CSC counting sort at
+    n = 10^6 (whose scattered writes miss the cache) and costs far less per
+    call at small n.  The keys are int64 whatever the table's dtype, since
+    they need up to 2 * s bits, and fit while n <= 2**31.  A shift and a
+    mask in place of keys ``head * n + tail`` and their remainder order the
+    rows the same way for less (``BENCH_22.json``, ``reverse_tails_1e6``)."""
     n = endpoints.shape[0]
     s = (n - 1).bit_length()
     if rows is None:
         keys = np.left_shift(endpoints, s, dtype=np.int64)
-        keys |= np.arange(n)[:, None]
+        # the tails ``REVERSE_BLOCK`` rows and one column at a time: a
+        # broadcast over the short last axis took twice as long (4.0 against
+        # 2.1 ms at n = 10^6, k = 2, ``BENCH_31.json``)
+        for a in range(0, n, REVERSE_BLOCK):
+            tails = np.arange(a, min(a + REVERSE_BLOCK, n))
+            for column in keys[a : a + REVERSE_BLOCK].T:
+                column |= tails
     else:
         keys = np.left_shift(endpoints.take(rows, axis=0), s, dtype=np.int64)
         keys |= rows[:, None]
     keys = keys.ravel()
     keys.sort()
-    tails = keys if keys.dtype == dtype else np.empty(keys.size, dtype=dtype)
-    return np.bitwise_and(keys, (1 << s) - 1, out=tails, casting="unsafe")
+    return keys, s
+
+
+def _reverse_table(endpoints: np.ndarray) -> tuple[np.ndarray, int]:
+    """The tails of the reversed out-table in rows of one fixed width, as
+    the ELLPACK layout stores a sparse matrix (Bell & Garland, SC 2009), and
+    the most entries that the rows of one vertex hold.
+
+    A row has 3k + 1 slots.  Row v < n holds the first 3k tails of v's
+    in-arcs, ascending as in ``_reverse_tails``, padded with n; its last
+    slot holds n, or the index (> n) of a continuation row that holds the
+    next 3k tails and links on the same way.  Row n is all n.  A vertex of
+    in-degree d takes ceil(d / 3k) - 1 continuation rows, so there are at
+    most n / 3 of them.  The table is in the index dtype of its own shape.
+
+    Everything comes from the sorted keys of ``_reverse_keys``, read
+    ``REVERSE_BLOCK`` at a time: one pass finds the vertices of in-degree
+    above 3k, and one scatters each tail to its cell, counting the keys of
+    each head in the block for the place of its first key.  So the build
+    holds the table, the keys and block-sized arrays, and no in-degree count
+    (``BENCH_31.json``: 45 against 32 MB of tracemalloc peak for the reverse
+    CSR at n = 10^6, k = 2)."""
+    n, k = endpoints.shape
+    slots, width = 3 * k, 3 * k + 1
+    keys, s = _reverse_keys(endpoints)
+    # a vertex of in-degree above 3k: the head of a key is that of the key 3k on
+    heavy = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, keys.size - slots, REVERSE_BLOCK):
+        heads = keys[lo : lo + REVERSE_BLOCK + slots] >> s
+        heavy.append(heads[slots:].compress(heads[slots:] == heads[:-slots]))
+    heavy = np.concatenate(heavy)
+    heavy = heavy.compress(np.diff(heavy, prepend=-1) != 0)
+    start = np.searchsorted(keys, heavy << s)
+    more = np.searchsorted(keys, (heavy + 1) << s) - start - slots  # the tails past a heavy row
+    chain = (more + slots - 1) // slots  # the continuation rows they take
+    first = n + 1 + np.cumsum(chain) - chain
+    rows = n + 1 + int(chain.sum())
+    table = np.full((rows, width), n, dtype=_index_dtype(rows, width))
+    table[heavy, slots] = first
+    table[n + 1 :, slots] = np.arange(n + 2, rows + 1)
+    table[first + chain - 1, slots] = n
+    # tail q past the first row goes to slot q % 3k of continuation row q // 3k
+    q = np.arange(more.sum()) - np.repeat(np.cumsum(more) - more, more)
+    spill = np.repeat(start + slots, more) + q
+    cell = np.repeat(first * width, more) + q + q // slots
+    flat, at = table.reshape(-1), np.arange(min(REVERSE_BLOCK, keys.size))
+    tails = np.empty(at.size, dtype=table.dtype)
+    head, place = -1, 0  # the last head of the block before, and its first key's place
+    for lo in range(0, keys.size, REVERSE_BLOCK):
+        block = keys[lo : lo + REVERSE_BLOCK]
+        low = int(block[0] >> s)
+        heads = block >> s
+        heads -= low
+        count = np.bincount(heads)
+        # the place of the first key of each head, or of the block's first
+        # head, carried over when its keys began in the block before
+        first_key = np.cumsum(count)
+        first_key += lo - count
+        if low == head:
+            first_key[0] = place
+        head, place = low + count.size - 1, int(first_key[-1])
+        # tail i of vertex v goes to cell v * width + i while i < 3k
+        step = np.arange(low * width + lo, (low + count.size) * width + lo, width)
+        step -= first_key
+        dest = step[heads]
+        dest += at[: block.size]
+        i, j = np.searchsorted(spill, (lo, lo + block.size))
+        dest[spill[i:j] - lo] = cell[i:j]
+        flat[dest] = np.bitwise_and(block, (1 << s) - 1, out=tails[: block.size], casting="unsafe")
+    return table, width * (1 + int(chain.max(initial=0)))
 
 
 def generate(n: int, k: int, rng: RngSpec) -> KOutDigraph:

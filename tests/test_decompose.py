@@ -27,7 +27,7 @@ from kout.decompose import (
     one_in_core,
     scc,
 )
-from kout.digraph import KOutDigraph, RngSpec, _row_pointers, generate
+from kout.digraph import KOutDigraph, RngSpec, _indegree, _reverse_tails, _row_pointers, generate
 from kout.oracle import brute_cycles, brute_giant, brute_one_in_core, brute_scc_sets
 from kout.outside import outside_view
 
@@ -538,7 +538,7 @@ def _levels(seen: np.ndarray, v: int, push, table=None) -> list[list[int]]:
 
 def _assert_sweep_back_matches_push(endpoints: np.ndarray) -> None:
     n = endpoints.shape[0]
-    indptr, tails = KOutDigraph(n, endpoints.shape[1], endpoints).reverse_csr
+    indptr, tails = _row_pointers(_indegree(endpoints)), _reverse_tails(endpoints, np.int64)
     for v in range(n):
         closure = np.zeros(n, dtype=bool)
         _levels(closure, v, lambda f: endpoints.take(f, axis=0).ravel())

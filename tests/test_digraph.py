@@ -143,10 +143,42 @@ def _tables():
     ]
 
 
+def _read_back(table: np.ndarray, n: int) -> list[list[int]]:
+    """Each vertex's tails, read from its row of the reverse table and the
+    continuation rows its links lead to, checking the layout on the way:
+    row n is all n, padding (n) only ends a row, a row that links on is
+    full, and every continuation row is read exactly once."""
+    rows, slots = table.tolist(), table.shape[1] - 1
+    assert rows[n] == [n] * (slots + 1)
+    linked, out = [], []
+    for v in range(n):
+        tails, r = [], v
+        while True:
+            entries, link = rows[r][:slots], rows[r][slots]
+            m = entries.index(n) if n in entries else slots
+            assert entries[m:] == [n] * (slots - m), (v, r)
+            tails += entries[:m]
+            if link == n:
+                break
+            assert m == slots and link > n, (v, r)
+            linked.append(link)
+            r = link
+        out.append(tails)
+    assert sorted(linked) == list(range(n + 1, len(rows)))
+    return out
+
+
+def _csr_of(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """int64 CSR row pointers and entries of the given rows."""
+    indptr = _row_pointers(np.array([len(r) for r in lists], dtype=np.int64))
+    return indptr, np.array([t for r in lists for t in r], dtype=np.int64)
+
+
 @pytest.mark.parametrize(
     "endpoints", _tables(), ids=["random-k3", "random-k2", "n1", "one-head", "permutation"]
 )
 def test_reverse_csr_matches_scipy_csc(endpoints):
+    # the reverse CSR as ``_reverse_tails`` sorts it and as the table holds it
     n, k = endpoints.shape
     indptr = _row_pointers(_indegree(endpoints))
     # column v of the table's CSC lists the tails of v's in-arcs, ascending
@@ -159,10 +191,24 @@ def test_reverse_csr_matches_scipy_csc(endpoints):
         tails = _reverse_tails(endpoints, dtype)
         assert tails.dtype == dtype
         assert np.array_equal(tails, csc.indices)
-    g_indptr, g_tails = KOutDigraph(n, k, endpoints).reverse_csr
-    assert np.array_equal(g_indptr, indptr) and np.array_equal(g_tails, tails)
-    # the pair search gathers through these on every step: int64, not int32
-    assert g_indptr.dtype == g_tails.dtype == np.int64
+    table, widest = KOutDigraph(n, k, endpoints).reverse_table
+    assert table.shape[1] == 3 * k + 1 and table.dtype == digraph._index_dtype(*table.shape)
+    got = _read_back(table, n)
+    assert [len(r) for r in got] == np.diff(csc.indptr).tolist()
+    assert [t for r in got for t in r] == csc.indices.tolist()
+    # a vertex of in-degree d takes ceil(d / 3k) rows of 3k + 1 entries
+    chain = -(-np.diff(indptr).clip(1) // (3 * k))
+    assert table.shape[0] == n + 1 + int((chain - 1).sum())
+    assert widest == (3 * k + 1) * int(chain.max())
+
+
+def test_one_head_table_is_a_chain_of_continuation_rows():
+    # 40 in-arcs of vertex 7 at k = 2 fill its row and six continuation rows
+    table, widest = KOutDigraph(20, 2, np.full((20, 2), 7)).reverse_table
+    assert table.shape == (27, 7) and widest == 49
+    assert table[7].tolist() == [0, 0, 1, 1, 2, 2, 21]
+    assert table[21:, 6].tolist() == [22, 23, 24, 25, 26, 20]
+    assert table[26].tolist() == [18, 18, 19, 19, 20, 20, 20]
 
 
 def test_reverse_csr_keys_do_not_wrap_on_an_int32_table():
@@ -175,9 +221,11 @@ def test_reverse_csr_keys_do_not_wrap_on_an_int32_table():
     for dtype in (np.int32, np.int64):
         tails = _reverse_tails(endpoints, dtype)
         assert tails.dtype == dtype and np.array_equal(tails, want)
-    indptr, tails = KOutDigraph(n, k, endpoints).reverse_csr
+    table, _ = KOutDigraph(n, k, endpoints).reverse_table
+    assert table.dtype == np.int32
+    indptr, tails = _csr_of(_read_back(table, n))
     assert np.array_equal(indptr, _row_pointers(_indegree(endpoints)))
-    assert tails.dtype == np.int64 and np.array_equal(tails, want)
+    assert np.array_equal(tails, want)
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (50_000, 2)])
@@ -197,10 +245,12 @@ def test_reverse_tails_of_chosen_rows_keep_only_their_arcs(n, k):
 
 
 def test_reverse_csr_bytes_are_pinned_at_100k():
-    # the input of every pair search on the digraph of perfbench's distance-1e5
+    # the input of every pair search on the digraph of perfbench's distance-1e5:
+    # the int64 CSR read back from the table is the one the search used to read
     g = generate(100_000, 2, RngSpec(150406240, 0))
-    indptr, tails = g.reverse_csr
-    assert indptr.dtype == tails.dtype == np.int64
+    table, widest = g.reverse_table
+    assert table.shape == (100_453, 7) and table.dtype == np.int32 and widest == 14
+    indptr, tails = _csr_of(_read_back(table, g.n))
     digest = hashlib.sha256(indptr.tobytes() + tails.tobytes()).hexdigest()
     assert digest == "983001a21ac6396386504cba494b6beb75c562b25c2bea65973847a2bb9333e9"
 

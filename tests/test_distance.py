@@ -9,9 +9,10 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import digraph_from_rows, endpoint_tables
 from kout import digraph
-from kout.decompose import _distinct, _rows, giant, one_in_core
+from kout.decompose import _distinct, giant, one_in_core
 from kout.digraph import KOutDigraph, RngSpec, generate
 from kout.distance import (
+    _in_arcs,
     _PairSearch,
     has_indegree_zero_vertex,
     is_strongly_connected,
@@ -124,6 +125,17 @@ def test_phase_sweep_validates():
         phase_sweep(10, 2, 3, 0, RngSpec(0))
 
 
+def test_phase_sweep_refuses_streams_past_2_to_the_64_before_drawing():
+    # 3 values of k times 4 replicates take streams stream .. stream + 11
+    with mock.patch.object(distance, "generate", wraps=generate) as spy:
+        with pytest.raises(ValueError, match=r"stream <= 2\*\*64 - 12 .*got 18446744073709551611"):
+            phase_sweep(50, 1, 3, 4, RngSpec(1, 2**64 - 5))
+        assert spy.call_count == 0
+        points = phase_sweep(50, 1, 3, 4, RngSpec(1, 2**64 - 12))
+        assert spy.call_args.args[2] == RngSpec(1, 2**64 - 1) and spy.call_count == 12
+    assert [p.k for p in points] == [1, 2, 3]
+
+
 def test_typical_distance_matches_bfs_small():
     # every sampled distance equals a brute-force BFS on the same drawn pair
     g = generate(30, 2, RngSpec(77, 3))
@@ -147,7 +159,8 @@ def test_pair_search_matches_brute_distance(rows):
     for src in range(n):
         for dst in range(n):
             assert search(src, dst) == brute_distance(rows, src, dst), (src, dst)
-    assert not search.marks.any()
+    # every vertex mark is reset, and the padding's slot still reads -1
+    assert not search.marks[:n].any() and search.marks[n] == -1
 
 
 def test_int32_and_int64_tables_give_the_same_distance_sample():
@@ -170,8 +183,9 @@ def ladder(layers):
 
 def spy_on_expansions(search, monkeypatch):
     """Record (front entries, reached entries) of every expansion of either
-    side of ``search``, failing at once on more than n * k entries (so that a
-    level growing without bound stops the test, not the host)."""
+    side of ``search``, the backward side's padding and continuation rows
+    counted, failing at once on more than n * k entries (so that a level
+    growing without bound stops the test, not the host)."""
     sizes = []
     limit = search.endpoints.size
 
@@ -182,15 +196,15 @@ def spy_on_expansions(search, monkeypatch):
             assert reached.size <= limit, sizes
             return reached
 
-    def rows(indptr, indices, front):
-        reached = _rows(indptr, indices, front)
+    def in_arcs(reverse, front, n):
+        reached = _in_arcs(reverse, front, n)
         sizes.append((front.size, reached.size))
         assert reached.size <= limit, sizes
         return reached
 
     table = search.endpoints
     monkeypatch.setattr(search, "endpoints", Table())
-    monkeypatch.setattr(distance, "_rows", rows)
+    monkeypatch.setattr(distance, "_in_arcs", in_arcs)
     return sizes
 
 
@@ -250,3 +264,45 @@ def test_random_pairs_need_no_deduplication(monkeypatch):
     assert got[:40] == [brute_distance(rows, a, b) for a, b in pairs[:40]]
     monkeypatch.setattr(search, "budget", (0, 0))
     assert [search(a, b) for a, b in pairs] == got
+
+
+def hub_tables(k):
+    """n = 80 tables whose vertex 0 has in-degree at least 10 times the
+    reverse table's row width 3k + 1, so that its in-arcs take a long chain of
+    continuation rows: a random table with the hub, then (k >= 2) the same
+    with a Hamiltonian cycle in column 0, strongly connected, and the cycle
+    broken at a vertex whose arcs all stay on it, so that only the backward
+    sweep can tell."""
+    n, gen = 80, np.random.default_rng(30 + k)
+    ep = gen.integers(0, n, size=(n, k))
+    ep[gen.random((n, k)) < 0.95] = 0
+    tables = [ep]
+    if k >= 2:
+        cycle = ep.copy()
+        cycle[:, 0] = (np.arange(n) + 1) % n
+        stuck = cycle.copy()
+        stuck[n - 1] = n - 1
+        tables += [cycle, stuck]
+    return tables
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_continuation_rows_give_brute_distances_and_strong_connectivity(k):
+    outcomes = []
+    for ep in hub_tables(k):
+        g = KOutDigraph(ep.shape[0], k, ep)
+        table, widest = g.reverse_table
+        assert np.bincount(ep.ravel()).max() >= 10 * (3 * k + 1)
+        assert widest >= 10 * (3 * k + 1) and table.shape[0] > g.n + 1
+        rows = ep.tolist()
+        search = _PairSearch(g)
+        for src in range(g.n):
+            for dst in range(g.n):
+                assert search(src, dst) == brute_distance(rows, src, dst), (k, src, dst)
+        tails = np.repeat(np.arange(g.n), k)
+        mat = coo_matrix((np.ones(tails.size), (tails, ep.ravel())), shape=(g.n, g.n))
+        ncomp, _ = connected_components(mat.tocsr(), directed=True, connection="strong")
+        outcomes.append(is_strongly_connected(g))
+        assert outcomes[-1] == (ncomp == 1), k
+        assert not has_indegree_zero_vertex(g) or not outcomes[-1]
+    assert outcomes == ([False] if k == 1 else [False, True, False])
