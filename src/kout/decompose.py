@@ -16,34 +16,32 @@ heights; ``scc`` groups the members and ``condense`` builds the condensation
 from the ids when asked.  It also keeps the view outside the giant (an
 :class:`OutsideView`), which the statistics of :mod:`kout.outside` run on.
 
-SCCs are found around the giant instead of by one pass over all vertices.
-Let v be the smallest vertex of the one-in-core and F its forward closure.
-A backward sweep from v, over a reverse CSR of the arcs out of the
-one-in-core, decides whether every vertex of F reaches v, that is, whether F
-is one closed SCC; whp it is, and it is the giant.  Both are runs of
-``_sweep`` (see it and ``PULL_RATIO`` for when the backward one pulls).  F
-is closed, so every other SCC lies outside it, and every cycle lies in the
-one-in-core, so only the core vertices outside F can share a component.
-``_scc_labels``, an iterative Tarjan (1972) search in pure Python, labels
-just those, on their local out-table: whp a few vertices, in microseconds;
-three in four replicates at n = 2*10^4 have fewer than two and make no call.
-When F is not one SCC (at small n, or when the largest SCC reaches an
-absorbing vertex), the same steps run without F, and the search labels the
-whole one-in-core (about 2 s for 796,216 vertices at n = 10^6,
-``BENCH_30.json``).  That fallback is rare at large n.
+SCCs are found around one closed SCC, the sink, instead of by one pass over
+all vertices.  Let v be the smallest vertex of the one-in-core and F its
+forward closure.  A backward sweep from v, over a reverse CSR of the arcs out
+of the one-in-core, marks B, the vertices of F that reach v; both are runs
+of ``_sweep`` (see it and ``PULL_RATIO`` for when the backward one pulls).
+Whp B = F, and F is the giant.  Otherwise F minus B is closed and misses v,
+and the same step from one of its vertices finds a strictly smaller closure,
+until B = F: the forward-backward step of Fleischer, Hendrickson & Pinar
+(IPDPS workshops 2000), used only to find one sink component.  Every other
+SCC lies outside the sink and every cycle in the one-in-core, so only the
+core vertices outside the sink can share a component.  ``_scc_labels``, an
+iterative Tarjan (1972) search in pure Python, labels just those, on their
+local out-table: whp a few vertices, in microseconds; three in four
+replicates at n = 2*10^4 have fewer than two and make no call.
 
-Heights and distances to F (a sink of height 0) take one pass of the view
-outside F over the rounds of the core peel (see ``_rest`` and
+Heights and distances to the sink (height 0) take one pass of the view
+outside it over the rounds of the core peel (see ``_rest`` and
 ``_core_levels``).  The peel and the sweeps are level-synchronous, one numpy
 pass per level, and a random k-out digraph at k >= 2 has O(log n) levels
 whp (about sqrt(n) at k = 1).  Every vertex reaches some closed component,
 so every vertex reaches the giant iff the giant is the only closed
 component.
 
-The vertices outside F, with their local out-table, ids, heights and
-distances, are the view outside the giant whenever F is the giant.
-Otherwise (F is not one SCC, or a larger closed SCC lies elsewhere) the same
-steps run once more with the giant as the sink.
+The vertices outside the sink, with their local out-table, ids, heights and
+distances, are the view outside the giant whenever the sink is the giant;
+otherwise the same steps run once more with the giant as the sink.
 
 Index arrays are stored in the dtype of ``digraph._index_dtype`` (see
 ``KOutDigraph`` for the keys that must be int64).  Large selections use
@@ -52,6 +50,7 @@ Index arrays are stored in the dtype of ``digraph._index_dtype`` (see
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -135,11 +134,6 @@ class Decomposition:
 def _indptr(rows: np.ndarray, nrows: int) -> np.ndarray:
     """Row pointers for entries whose (sorted) row ids are ``rows``."""
     return _row_pointers(np.bincount(rows, minlength=nrows))
-
-
-def _members(mask: np.ndarray, dtype) -> np.ndarray:
-    """Sorted positions of the True entries of ``mask``, stored as ``dtype``."""
-    return np.flatnonzero(mask).astype(dtype, copy=False)
 
 
 def _rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -354,26 +348,27 @@ def _core_levels(
 def _rest(
     endpoints: np.ndarray, core: np.ndarray, rounds: list[np.ndarray], sink: np.ndarray
 ) -> OutsideView:
-    """The view outside ``sink``, a closed SCC (or no vertex at all), given
-    the one-in-core mask ``core`` and the rounds of the peel that found it:
-    components numbered on their own by (height, smallest label), with their
-    heights in the whole digraph, and each vertex's distance to the sink
-    (int32, -1 where out of reach).
+    """The view outside ``sink``, a closed SCC, given the one-in-core mask
+    ``core`` and the rounds of the peel that found it: components numbered
+    on their own by (height, smallest label), with their heights in the
+    whole digraph, and each vertex's distance to the sink (int32, -1 where
+    out of reach).
 
     ``_core_levels`` gives the heights and distances of the view's core
     vertices (whp a few, once the giant is the sink), before the view's
-    table is built: the Tarjan search, in pure Python, sets the peak of the
-    whole-core fallback.  One local out-table of the view, with m (its size)
-    marking an arc into the sink, is the view's table and gives the rest of
-    the heights and distances, the sink counting 0 for both.  Every other
-    view vertex is a singleton without a self-loop, deleted by the peel, and
-    its arcs lead to the core, the sink or vertices deleted in later rounds.
-    So, last round first, each takes 1 + the max of its heads' heights and
-    1 + the min of their distances, one numpy step per round; a row whose
-    arcs all enter the sink has both 1 without a look.
+    table is built: when the sink is a closed SCC smaller than the giant,
+    the Tarjan search labels the giant in pure Python, and its lists should
+    not be held with the table.  One local out-table of the view, with m
+    (its size) marking an arc into the sink, is the view's table and gives
+    the rest of the heights and distances, the sink counting 0 for both.
+    Every other view vertex is a singleton without a self-loop, deleted by
+    the peel, and its arcs lead to the core, the sink or vertices deleted in
+    later rounds.  So, last round first, each takes 1 + the max of its
+    heads' heights and 1 + the min of their distances, one numpy step per
+    round; a row whose arcs all enter the sink has both 1 without a look.
     """
     dtype = _index_dtype(*endpoints.shape)
-    verts = _members(~sink, dtype)
+    verts = np.flatnonzero(~sink).astype(dtype, copy=False)
     m = verts.size
     inner = np.flatnonzero(core[verts])
     low, high, near = _core_levels(endpoints, verts.take(inner))
@@ -457,40 +452,44 @@ def decompose(g: KOutDigraph) -> Decomposition:
     dtype = _index_dtype(g.n, g.k)
     indeg = _indegree(endpoints)
     core, rounds = _core_mask(endpoints, indeg)
-    one_in_core = _members(core, dtype)
-    # the closure lies in the one-in-core, so the backward sweep needs only
+    one_in_core = np.flatnonzero(core).astype(dtype, copy=False)
+    # every closure lies in the one-in-core, so the backward sweeps need only
     # the arcs out of it: the peel left their count in indeg.  Peak memory:
     # build the reverse CSR where the least freed heap is held, before the
-    # closure and before _rest
+    # closures and before _rest
     rev_indptr = _row_pointers(indeg, dtype)
     del indeg
     rev_tails = _reverse_tails(endpoints, dtype, one_in_core)
     v = int(np.argmax(core))
-    closure = np.zeros(g.n, dtype=bool)
-    forward = _sweep(closure, np.array([v]), lambda f: endpoints.take(f, axis=0).ravel())
-    size = sum(f.size for f in forward)
-    backward = _sweep(~closure, np.array([v]), lambda f: _rows(rev_indptr, rev_tails, f), endpoints)
-    strong = sum(f.size for f in backward) == size
-    del rev_indptr, rev_tails
-    sink = closure if strong else np.zeros(g.n, dtype=bool)
+    while True:  # forward-backward rounds, until the closure F of v is one SCC
+        sink, front = np.zeros(g.n, dtype=bool), np.array([v])
+        last = deque(_sweep(sink, front, lambda f: endpoints.take(f, axis=0).ravel()), maxlen=1)[0]
+        back = ~sink  # marks the vertices outside F, then those of F that reach v
+        deque(_sweep(back, front, lambda f: _rows(rev_indptr, rev_tails, f), endpoints), maxlen=0)
+        if back.all():
+            break
+        # F minus back is closed and misses v: restart at its smallest vertex in
+        # F's last level, if any (two rounds on the chain i -> (i, i + 1))
+        last = last.compress(~back.take(last))
+        v = int(last[0]) if last.size else int(np.argmax(~back))
+    del rev_indptr, rev_tails, back
     rest = _rest(endpoints, core, rounds, sink)
-    # the sink, if any, is component 0: its height is 0, and every other
-    # closed component lies in the one-in-core, above its smallest vertex v
-    s = int(strong)
-    scc_id = np.zeros(g.n, dtype=dtype)
-    scc_id[rest.vertices] = rest.comp + s
-    height = np.concatenate([np.zeros(s, dtype=rest.height.dtype), rest.height])
+    # the sink's id is its rank among the closed components by smallest label,
+    # as the rest's closed ids (a prefix of its ids) are
+    below = rest.comp[: np.searchsorted(rest.vertices, np.argmax(sink))]
+    r = int(below.compress(rest.height.take(below) == 0).max(initial=-1)) + 1
+    scc_id = np.full(g.n, r, dtype=dtype)
+    scc_id[rest.vertices] = rest.comp + (rest.comp >= r)
+    height = np.insert(rest.height, r, 0)
     n_closed = int((height == 0).sum())
-    gid = 0
-    if n_closed > 1:
-        gid = int(np.argmax(np.bincount(scc_id, minlength=n_closed)[:n_closed]))
+    gid = int(np.argmax(np.bincount(scc_id, minlength=n_closed)[:n_closed])) if n_closed > 1 else r
     # whp the sink is the giant and rest is already the view outside it
-    giant = sink if strong and gid == 0 else scc_id == gid
+    giant = sink if gid == r else scc_id == gid
     return Decomposition(
         scc_id=scc_id,
         height=height,
-        giant=_members(giant, dtype),
+        giant=np.flatnonzero(giant).astype(dtype, copy=False),
         one_in_core=one_in_core,
         all_reach_giant=n_closed == 1,
-        view=rest if strong and gid == 0 else _rest(endpoints, core, rounds, giant),
+        view=rest if gid == r else _rest(endpoints, core, rounds, giant),
     )

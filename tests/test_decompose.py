@@ -201,18 +201,16 @@ def test_monte_carlo_giant_density():
     assert abs(np.mean(sizes) / 20_000 - 0.7968121300200199) < 0.01
 
 
-# The three paths of decompose: F (the forward closure of the smallest core
-# vertex) is not one SCC, so no sink is used and the labeller gets the whole
-# one-in-core; F is one SCC but a larger closed SCC lies elsewhere; F is one
-# SCC and is the giant.  On the first two paths F is not the giant, so after
-# the call that labels the components, the view outside the giant is built
-# once more, with the giant as its sink.
+# The paths of decompose: forward-backward rounds from the smallest core
+# vertex find a closed SCC, the sink, and the view outside it is built; when
+# a larger closed SCC lies elsewhere, the view is built once more, with the
+# giant as its sink.  Every call gets a closed SCC as its sink.
 PATH_CASES = [
-    pytest.param([(1, 1), (2, 2), (0, 3), (3, 3)], [[], [3]], [3], id="closure-not-strong"),
+    pytest.param([(1, 1), (2, 2), (0, 3), (3, 3)], [[3]], [3], id="closure-not-strong"),
     # {0, 1} is a 2-cycle that no other vertex enters, above the giant
     pytest.param(
         [(1, 2), (0, 0), (3, 3), (4, 2), (5, 5), (2, 6), (2, 7), (6, 6), (3, 6), (9, 9)],
-        [[], [2, 3, 4, 5, 6, 7]],
+        [[2, 3, 4, 5, 6, 7]],
         [2, 3, 4, 5, 6, 7],
         id="smallest-2-cycle-not-entered",
     ),
@@ -283,15 +281,16 @@ def test_heights_match_brute_condensation(rows):
 
 def test_fallback_heights_match_brute_when_the_largest_scc_is_not_closed():
     # the 4-cycle 0 1 2 3 leaks into the absorbing vertex 4, so the closure of
-    # vertex 0 is not one SCC, and the largest SCC is not closed; the 2-cycle
-    # {8, 9} and the tree vertices 5, 6, 7 sit above them
+    # vertex 0 is not one SCC, the next round finds {4}, and the largest SCC
+    # is not closed; the 2-cycle {8, 9} and the tree vertices 5, 6, 7 sit
+    # above them
     rows = [(1, 1), (2, 2), (3, 3), (0, 4), (4, 4), (0, 0), (5, 4), (6, 6), (9, 6), (8, 8)]
     largest = max(brute_scc_sets(rows), key=len)
     assert largest == {0, 1, 2, 3} and any(u not in largest for v in largest for u in rows[v])
     g = digraph_from_rows(rows)
     with mock.patch.object(decompose_module, "_rest", wraps=decompose_module._rest) as spy:
         d = decompose(g)
-    assert not spy.call_args_list[0].args[3].any()  # the whole-core fallback
+    assert np.flatnonzero(spy.call_args_list[0].args[3]).tolist() == [4]
     assert d.giant.tolist() == [4]
     assert_heights_match_brute(d, rows)
     assert d.view.dist.tolist() == [4, 3, 2, 1, 5, 1, 2, 2, 3]
@@ -519,8 +518,8 @@ def test_decompose_finds_the_giant_when_the_closure_is_not_strong_on_an_int32_ta
 
 def test_decompose_sees_a_strong_closure_on_an_int32_table():
     # whp F is the giant: a backward sweep over wrapped reverse keys would
-    # miss part of it and send the call down the whole-core fallback, with
-    # the same result, only far slower
+    # miss part of it, and the next round, from inside the giant, would find
+    # the same F again
     g = generate(50_000, 2, RngSpec(22, 3))
     with mock.patch.object(decompose_module, "_rest", wraps=decompose_module._rest) as spy:
         d = decompose(g)
@@ -636,6 +635,73 @@ def test_backward_sweep_pushes_first_and_pulls_last_at_100k():
     assert table is g.endpoints
     assert rounds[0] == "push" and rounds[-1] == "pull", rounds
     assert np.array_equal(d.giant, np.flatnonzero(rest.call_args.args[3]))
+
+
+def _chain(length: int) -> list[tuple[int, int]]:
+    """k = 2: i -> (i, i + 1), the last vertex absorbing."""
+    return [(i, min(i + 1, length - 1)) for i in range(length)]
+
+
+def _ladder(m: int) -> list[tuple[int, int]]:
+    """k = 2: roots j = 0 .. m - 1 in label order; root j < m - 1 lies on a
+    cycle of 2(m - j) + 1 vertices, the root first, and has an arc to root
+    j + 1; root m - 1 is absorbing.  From root j the last level of the
+    forward closure is the end of root j's own cycle, which reaches it."""
+    rows: list[tuple[int, int]] = []
+    for j in range(m - 1):
+        root, size = len(rows), 2 * (m - j) + 1
+        rows.append((root + 1, root + size))
+        rows += [(root + i + 1, root + i + 1) for i in range(1, size - 1)] + [(root, root)]
+    return rows + [(len(rows), len(rows))]
+
+
+@pytest.mark.parametrize(
+    "rows, rounds", [(_chain(20), 2), (_ladder(4), 4)], ids=["chain", "ladder"]
+)
+def test_forward_backward_rounds_on_nested_closures_match_brute(rows, rounds):
+    # on the chain a restart at the smallest vertex outside B would take one
+    # round per link; the ladder's last level falls in B every round, so
+    # each round starts at the next root
+    g = digraph_from_rows(rows)
+    with _sweep_rounds() as calls:
+        d = decompose(g)
+    assert len(calls) == rounds  # one backward sweep, the one with a table, per round
+    assert frozenset(d.giant.tolist()) == brute_giant(rows) == {len(rows) - 1}
+    _, members = scc(g)
+    assert sorted(tuple(m.tolist()) for m in members) == sorted(
+        tuple(sorted(c)) for c in brute_scc_sets(rows)
+    )
+    assert frozenset(d.one_in_core.tolist()) == brute_one_in_core(rows)
+    assert_heights_match_brute(d, rows)
+    assert d.view.dist.tolist() == brute_distances(rows, {len(rows) - 1})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_decompose_commutes_with_relabelling_at_1e5(k):
+    # vertex v becomes perm[v], and each row's arc labels are shuffled: the
+    # partition, heights, one-in-core and view distances must follow, and
+    # the giant must be a largest closed SCC (at k = 1 two may tie)
+    g = generate(100_000, k, RngSpec(2026, k))
+    gen = np.random.default_rng(k)
+    perm = gen.permutation(g.n)
+    ep = np.empty_like(g.endpoints)
+    ep[perm] = perm[gen.permuted(g.endpoints, axis=1)]
+    h = KOutDigraph(g.n, k, ep)
+    d, e = decompose(g), decompose(h)
+    assert e.n_components == d.n_components
+    assert np.unique(np.stack([d.scc_id, e.scc_id[perm]]), axis=1).shape[1] == d.n_components
+    assert np.array_equal(e.height[e.scc_id][perm], d.height[d.scc_id])
+    assert np.array_equal(e.one_in_core, np.sort(perm[d.one_in_core]))
+    assert e.all_reach_giant == d.all_reach_giant
+    gid = e.scc_id[e.giant[0]]
+    assert e.height[gid] == 0 and np.array_equal(e.giant, np.flatnonzero(e.scc_id == gid))
+    assert e.giant.size == np.bincount(e.scc_id)[e.closed].max() == d.giant.size
+    want = np.sort(perm[d.giant])
+    view = e.view if np.array_equal(e.giant, want) else outside_view(h, want)
+    dist = np.empty(g.n, dtype=np.int32)
+    dist[perm[d.view.vertices]] = d.view.dist
+    assert np.array_equal(view.vertices, np.setdiff1d(np.arange(g.n), want))
+    assert np.array_equal(view.dist, dist[view.vertices])
 
 
 def _scipy_distances_to_sink(view) -> np.ndarray:
