@@ -33,11 +33,16 @@ replicates at n = 2*10^4 have fewer than two and make no call.
 
 Heights and distances to the sink (height 0) take one pass of the view
 outside it over the rounds of the core peel (see ``_rest`` and
-``_core_levels``).  The peel and the sweeps are level-synchronous, one numpy
-pass per level, and a random k-out digraph at k >= 2 has O(log n) levels
-whp (about sqrt(n) at k = 1).  Every vertex reaches some closed component,
-so every vertex reaches the giant iff the giant is the only closed
-component.
+``_core_levels``).  The peel and the sweeps are level-synchronous, and a
+random k-out digraph at k >= 2 has O(log n) levels whp (about sqrt(n) at
+k = 1).  The peel takes one numpy pass per round.  A sweep takes one numpy
+pass per level, except that a level from a frontier of at most ``THIN``
+vertices is one scalar step over memoryviews of the rows (a row reader's
+``heads``), which builds no array: the first levels of every sweep, and
+every level of a long path outside the giant, which would otherwise pay the
+fixed cost of a numpy pass per vertex.  Every vertex reaches some closed
+component, so every vertex reaches the giant iff the giant is the only
+closed component.
 
 The vertices outside the sink, with their local out-table, ids, heights and
 distances, are the view outside the giant whenever the sink is the giant;
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -75,6 +80,15 @@ __all__ = [
 # costs about a quarter of a push row; ratios of 3 to 6 beat 1 and 2
 # (``BENCH_24.json``, ``in_process``)
 PULL_RATIO = 4
+
+# a search (_sweep, distance._PairSearch) runs a level whose frontier holds
+# at most this many vertices as one scalar step: it reads the frontier's rows
+# as Python ints through flat memoryviews (a row reader's ``heads``) and
+# marks the new vertices one by one, where a numpy level costs several us
+# whatever its size.  In pair searches 8 was the best value or within noise
+# of it at k = 2, 3 and n = 10^5, 10^6, 16 and 32 lost there, and at k = 1
+# every value from 2 up gained 5-8x over 0 (``BENCH_33.json``, ``thin``)
+THIN = 8
 
 
 @dataclass
@@ -144,6 +158,47 @@ def _rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarr
     return indices[shift + np.arange(shift.size)]
 
 
+# Row readers, one per layout that a search walks: ``push(front)`` gathers the
+# rows of a frontier with numpy calls, ``heads(front)`` those of a thin one
+# (``THIN``) as a list of Python ints, through flat memoryviews of the same
+# table, or None where its rows are too long for that (``distance._InRows``).
+# Both list every entry of the rows, repeats included.
+
+
+class _OutRows:
+    """The rows of the out-table ``table``."""
+
+    def __init__(self, table: np.ndarray):
+        self.table, self.k = table, table.shape[1]
+        self.flat = memoryview(np.ascontiguousarray(table).reshape(-1))
+
+    def push(self, front: np.ndarray) -> np.ndarray:
+        return self.table.take(front, axis=0).ravel()
+
+    def heads(self, front: Iterable[int]) -> list[int]:
+        flat, k, out = self.flat, self.k, []
+        for v in front:
+            out += flat[v * k : v * k + k]
+        return out
+
+
+class _CsrRows:
+    """The rows of the CSR ``indptr``, ``indices``."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.indptr, self.indices = indptr, indices
+        self.ptr, self.flat = memoryview(indptr), memoryview(indices)
+
+    def push(self, front: np.ndarray) -> np.ndarray:
+        return _rows(self.indptr, self.indices, front)
+
+    def heads(self, front: Iterable[int]) -> list[int]:
+        ptr, flat, out = self.ptr, self.flat, []
+        for v in front:
+            out += flat[ptr[v] : ptr[v + 1]]
+        return out
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values by sort + mask: on integer ids numpy 2.4's
     ``np.unique`` takes a hash path an order of magnitude slower, and on the
@@ -152,6 +207,14 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
+
+
+def _stable_order(values: np.ndarray, top: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of values in 0 .. ``top``, sorted
+    as the smallest unsigned dtype that holds ``top``: numpy radix-sorts 8-
+    and 16-bit keys (0.9 against 4.9 ms for 203,000 heights at n = 10^6,
+    ``BENCH_33.json``, ``micro``), and the permutation is the same."""
+    return np.argsort(values.astype(np.min_scalar_type(top)), kind="stable")
 
 
 def _by_row(ufunc: np.ufunc, table: np.ndarray, dtype=None) -> np.ndarray:
@@ -250,15 +313,16 @@ def _peel(endpoints: np.ndarray, deg: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _sweep(
-    seen: np.ndarray,
-    front: np.ndarray,
-    push: Callable[[np.ndarray], np.ndarray],
-    table: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
+    seen: np.ndarray, front: np.ndarray | list[int], rows, table: np.ndarray | None = None
+) -> Iterator[np.ndarray | list[int]]:
     """Level-synchronous BFS from the nodes ``front`` through the nodes
     unmarked in ``seen``: marks every node it reaches and yields each level,
-    ``front`` first.  ``push(front)`` lists the nodes one arc from the
-    frontier, repeats allowed.
+    ascending, ``front`` first.  ``rows``, a row reader (``_OutRows``,
+    ``_CsrRows`` or ``distance._InRows``), lists the nodes one arc from the
+    frontier, repeats allowed.  A push from a frontier of at most ``THIN``
+    nodes whose rows ``rows.heads`` reads is one scalar step, which marks as
+    it goes and yields a list, so a thin stretch (a long path) builds no
+    array per level; every other level is an array.
 
     Given ``table``, an out-table whose arcs the sweep follows backward, a
     round may pull instead: it reaches each waiting row with a marked head,
@@ -273,21 +337,32 @@ def _sweep(
     rows plus arcs.  The first rounds push; the last ones, where the frontier
     is a large share of the few rows left, pull."""
     seen[front] = True
+    flags = memoryview(seen)
     left = seen.size - np.count_nonzero(seen)  # the rows still waiting
     todo = None  # the waiting rows, listed at the first pull
-    while front.size:
+    while len(front):
         yield front
         if not left:
             return
-        if table is not None and left <= PULL_RATIO * front.size:
+        if table is not None and left <= PULL_RATIO * len(front):
             todo = np.flatnonzero(~seen) if todo is None else todo.compress(~seen.take(todo))
             # indexing, unlike take, casts int32 heads to intp a buffer at a
             # time, not as one whole copy (``BENCH_24.json``, ``pull_gather_ms``)
             hit = _by_row(np.logical_or, seen[table.take(todo, axis=0)])
             front = todo.compress(hit)
             todo = todo.compress(~hit)
+        elif len(front) <= THIN and (hit := rows.heads(front)) is not None:
+            new = []
+            for u in hit:
+                if not flags[u]:
+                    flags[u] = True
+                    new.append(u)
+            new.sort()
+            front = new
+            left -= len(new)
+            continue
         else:
-            hit = push(front)
+            hit = rows.push(np.asarray(front))
             front = _distinct(hit.compress(~seen[hit]))
         seen[front] = True
         left -= front.size
@@ -339,9 +414,14 @@ def _core_levels(
         seen = np.zeros(inner.size + 1, dtype=bool)
         seen[-1] = True  # the sink
         # the arcs into the sink make the last row and the last tails
-        rev, tails = _row_pointers(_indegree(sub)), _reverse_tails(sub, sub.dtype)
-        for d, front in enumerate(_sweep(seen, into, lambda f: _rows(rev, tails, f)), 1):
-            dist[front] = d
+        rev = _CsrRows(_row_pointers(_indegree(sub)), _reverse_tails(sub, sub.dtype))
+        at = memoryview(dist)  # a scalar level's distances, one vertex at a time
+        for d, front in enumerate(_sweep(seen, into, rev), 1):
+            if isinstance(front, list):
+                for v in front:
+                    at[v] = d
+            else:
+                dist[front] = d
     return low.take(labels - 1), np.array(height, dtype=np.int32).take(labels), dist
 
 
@@ -391,7 +471,7 @@ def _rest(
     reps = np.flatnonzero(rep == np.arange(m, dtype=dtype))
     height = level[reps]
     # reps ascend, so a stable sort orders them by (height, smallest label)
-    order = np.argsort(height, kind="stable")
+    order = _stable_order(height, int(height.max(initial=0)))
     canon = np.zeros(m, dtype=dtype)  # the id of each component, at its rep
     canon[reps.take(order)] = np.arange(reps.size)
     return OutsideView(verts, table, canon.take(rep), height.take(order), dist[:m])
@@ -460,19 +540,20 @@ def decompose(g: KOutDigraph) -> Decomposition:
     rev_indptr = _row_pointers(indeg, dtype)
     del indeg
     rev_tails = _reverse_tails(endpoints, dtype, one_in_core)
+    out, rev = _OutRows(endpoints), _CsrRows(rev_indptr, rev_tails)
     v = int(np.argmax(core))
     while True:  # forward-backward rounds, until the closure F of v is one SCC
-        sink, front = np.zeros(g.n, dtype=bool), np.array([v])
-        last = deque(_sweep(sink, front, lambda f: endpoints.take(f, axis=0).ravel()), maxlen=1)[0]
+        sink = np.zeros(g.n, dtype=bool)
+        last = np.asarray(deque(_sweep(sink, [v], out), maxlen=1)[0])
         back = ~sink  # marks the vertices outside F, then those of F that reach v
-        deque(_sweep(back, front, lambda f: _rows(rev_indptr, rev_tails, f), endpoints), maxlen=0)
+        deque(_sweep(back, [v], rev, endpoints), maxlen=0)
         if back.all():
             break
         # F minus back is closed and misses v: restart at its smallest vertex in
         # F's last level, if any (two rounds on the chain i -> (i, i + 1))
         last = last.compress(~back.take(last))
         v = int(last[0]) if last.size else int(np.argmax(~back))
-    del rev_indptr, rev_tails, back
+    del rev_indptr, rev_tails, rev, back
     rest = _rest(endpoints, core, rounds, sink)
     # the sink's id is its rank among the closed components by smallest label,
     # as the rest's closed ids (a prefix of its ids) are

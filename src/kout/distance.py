@@ -4,30 +4,42 @@
 BFS (Pohl 1971): a forward search from the source over the out-table and a
 backward search from the target over the digraph's reverse table (built on
 first use and kept with the digraph), always expanding by one whole level
-the side whose level gathers fewer entries.  Either side gathers a level
-with one ``take`` of whole rows: k heads a forward row, and 3k in-arcs a
-reverse row, padded with n, the last of its 3k + 1 slots linking a vertex
-of larger in-degree to continuation rows, which the search follows while a
-gathered entry exceeds n (at k = 2 about one vertex in 200 has one).  One
-int8 array marks both searched balls, with an (n + 1)-th slot fixed at -1
-that drops the padding with the backward side's own marks.  The balls are
-disjoint before an expansion, so the first one that reaches the other ball
-gives the distance as the two level counts plus one; an empty new level on
-either side proves the pair unreachable.  Whp a reachable pair meets after about log2 n levels,
-nearly free of repeats, and an unreachable one is settled by the target's
-small backward closure.  So a side keeps repeats until its levels hold more
+the side whose level gathers fewer entries.  A reverse row holds 3k in-arcs,
+padded with n, and a last slot that links a vertex of larger in-degree to
+its continuation rows (at k = 2 about one vertex in 200 has them), which are
+contiguous.  A front of at most ``decompose.THIN`` vertices expands in one
+scalar step: it reads its rows through memoryviews and marks each new vertex
+as it comes, so the first levels of a pair, tiny in a random digraph, build
+no arrays.  A wider front, or one holding a vertex with continuation rows,
+expands in one numpy step: one ``take`` of whole rows (k heads a forward
+row, 3k + 1 entries a reverse one), plus one slice for each whole chain of
+continuation rows it meets.  One int8 array marks both searched balls, with
+an (n + 1)-th slot fixed at -1 that drops the padding with the backward
+side's own marks.  The balls are disjoint before an expansion, so the first
+one that reaches the other ball gives the distance as the two level counts
+plus one; an empty new level on either side proves the pair unreachable.
+Whp a reachable pair meets after about log2 n levels, nearly free of
+repeats, and an unreachable one is settled by the target's small backward
+closure.  So a numpy step keeps repeats until its side's levels hold more
 than n entries together (backward, n·k over the most entries that the rows
-of one vertex hold), which bounds every expansion of repeats by n·k entries.
+of one vertex hold), which bounds every expansion of repeats by n·k entries;
+a scalar step has none.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .digraph import KOutDigraph, RngSpec, _check_int, _indegree, generate
-from .decompose import _distinct, _sweep
+from .decompose import _distinct, _OutRows, _sweep
+
+# the module, whose ``THIN`` the pair search reads at call time (the package
+# binds the name ``decompose`` to the function)
+_decompose = importlib.import_module(".decompose", __package__)
 
 __all__ = [
     "DistanceSample",
@@ -57,66 +69,111 @@ class _PairSearch:
 
     ``marks`` is 1 where the source's search has been, -1 where the target's
     has and 0 elsewhere, reset after each pair; its slot n, the reverse
-    table's padding, stays -1.  ``budget`` is the entries each side's levels
-    may hold, repeats counted, before they are deduplicated, and ``cost``
-    the entries that one vertex of a front gathers on each side (beside
-    continuation rows).
+    table's padding, stays -1.  ``rows`` reads each side's rows (forward the
+    out-table, backward the reverse table), ``budget`` is the entries each
+    side's levels may hold, repeats counted, before they are deduplicated,
+    and ``cost`` the entries that one vertex of a front gathers on each side
+    (beside continuation rows).
     """
 
     def __init__(self, g: KOutDigraph):
-        self.n, self.endpoints = g.n, g.endpoints
-        self.table, widest = g.reverse_table
+        self.n = g.n
+        table, widest = g.reverse_table
+        self.rows = (_OutRows(g.endpoints), _InRows(table, g.n))
         self.marks = np.zeros(g.n + 1, dtype=np.int8)
         self.marks[g.n] = -1
+        self.flags = memoryview(self.marks)
         self.budget = (g.n, g.n * g.k // widest)
-        self.cost = (g.k, self.table.shape[1])
+        self.cost = (g.k, table.shape[1])
 
     def __call__(self, src: int, dst: int) -> int | None:
         """Arc distance src -> dst, or None when dst is unreachable."""
         if src == dst:
             return 0
-        fronts = [np.array([src]), np.array([dst])]
+        fronts: list = [[src], [dst]]
         levels, held = [0, 0], [1, 1]
-        seen = fronts.copy()
-        self.marks[src], self.marks[dst] = 1, -1
+        flags, thin, cost = self.flags, _decompose.THIN, self.cost
+        flags[src], flags[dst] = 1, -1
+        # the vertices marked by scalar steps, and the levels of numpy steps
+        touched, seen = [src, dst], []
+        touch = touched.append
         try:
             while True:
-                side = 0 if fronts[0].size * self.cost[0] <= fronts[1].size * self.cost[1] else 1
-                if side == 0:
+                side = 0 if len(fronts[0]) * cost[0] <= len(fronts[1]) * cost[1] else 1
+                mark, rows, front = 1 - 2 * side, self.rows[side], fronts[side]
+                reached = rows.heads(front) if len(front) <= thin else None
+                if reached is not None:
+                    # a scalar step marks as it reads, so a vertex is new once
+                    start = len(touched)
+                    for u in reached:
+                        m = flags[u]
+                        if not m:
+                            flags[u] = mark
+                            touch(u)
+                        elif m != mark:
+                            return levels[0] + levels[1] + 1
+                    new = touched[start:]
+                    held[side] += len(new)
+                else:
                     # numpy casts an int32 index to intp on each lookup below;
                     # one cast here costs less (``BENCH_22.json``, ``pair_search_1e5``)
-                    front = self.endpoints.take(fronts[0], axis=0).ravel()
-                    reached = front.astype(np.intp, copy=False)
-                else:
-                    reached = _in_arcs(self.table, fronts[1], self.n)
-                marks = self.marks.take(reached)
-                if (marks.min(initial=0) < 0) if side == 0 else (marks.max(initial=0) > 0):
-                    return levels[0] + levels[1] + 1
-                new = reached.compress(marks == 0)
-                held[side] += new.size
-                if held[side] > self.budget[side]:
-                    new = _distinct(new)
-                if not new.size:
+                    reached = rows.push(front).astype(np.intp, copy=False)
+                    marks = self.marks.take(reached)
+                    if (marks.min(initial=0) < 0) if side == 0 else (marks.max(initial=0) > 0):
+                        return levels[0] + levels[1] + 1
+                    new = reached.compress(marks == 0)
+                    held[side] += new.size
+                    if held[side] > self.budget[side]:
+                        new = _distinct(new)
+                    self.marks[new] = mark
+                    seen.append(new)
+                if not len(new):
                     return None
                 levels[side] += 1
-                self.marks[new] = 1 - 2 * side
-                seen.append(new)
                 fronts[side] = new
         finally:
-            self.marks[np.concatenate(seen)] = 0
+            for u in touched:
+                flags[u] = 0
+            if seen:
+                self.marks[np.concatenate(seen)] = 0
 
 
-def _in_arcs(table: np.ndarray, front: np.ndarray, n: int) -> np.ndarray:
-    """The tails of the in-arcs of the vertices ``front``, as intp, from the
-    reverse table of an n-vertex digraph: whole rows, so padding (n) among
-    them, with every link to a continuation row followed and read as n."""
-    parts = [table.take(front, axis=0).ravel().astype(np.intp, copy=False)]
-    while parts[-1].max(initial=n) > n:
-        last = parts[-1]
-        links = last > n
-        parts.append(table.take(last[links], axis=0).ravel().astype(np.intp, copy=False))
-        last[links] = n
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+class _InRows:
+    """Row reader (see ``decompose._OutRows``) of the reverse table ``table``
+    of an n-vertex digraph (``digraph._reverse_table``): the tails of each
+    vertex's in-arcs, padding (n) among them.  A vertex's continuation rows
+    are contiguous, so ``push`` reads each whole chain in one step and reads
+    its links as n.  ``heads`` leaves a front with continuation rows to
+    ``push`` (it returns None): a hub's chain marked entry by entry in
+    Python cost 1.5-1.6 ms a pair next to a hub of in-degree 2*10^4 at
+    n = 10^5, against 0.08-0.14 ms by ``push`` (``BENCH_33.json``, ``hub``)."""
+
+    def __init__(self, table: np.ndarray, n: int):
+        self.table, self.n = table, n
+        self.flat = memoryview(table.reshape(-1))
+        self.width = table.shape[1]
+        # one past the last row of each chain, ascending: a chain's last row links to n
+        self.stop = np.flatnonzero(table[n + 1 :, -1] == n) + n + 2
+
+    def push(self, front) -> np.ndarray:
+        """The tails of the in-arcs of the vertices ``front``, as intp."""
+        tails = self.table.take(front, axis=0).ravel().astype(np.intp, copy=False)
+        if tails.max(initial=self.n) > self.n:
+            # only links exceed n: one slice of rows per chain
+            first = tails.compress(tails > self.n)
+            end = self.stop.take(np.searchsorted(self.stop, first, side="right"))
+            chains = [self.table[a:b].ravel() for a, b in zip(first.tolist(), end.tolist())]
+            tails = np.concatenate([tails, *chains])
+            np.minimum(tails, self.n, out=tails)
+        return tails
+
+    def heads(self, front: Iterable[int]) -> list[int] | None:
+        flat, width, n, out = self.flat, self.width, self.n, []
+        for v in front:
+            out += flat[v * width : v * width + width]
+            if out[-1] > n:
+                return None
+        return out
 
 
 def typical_distance(g: KOutDigraph, pairs: int, rng: RngSpec) -> DistanceSample:
@@ -142,16 +199,14 @@ def is_strongly_connected(g: KOutDigraph) -> bool:
         return False
     # strongly connected iff vertex 0 reaches every vertex and every vertex
     # reaches vertex 0
-    def reaches_all(push, table=None) -> bool:
+    def reaches_all(rows, table=None) -> bool:
         seen = np.zeros(g.n + 1, dtype=bool)
         seen[g.n] = True  # the reverse table's padding
-        levels = _sweep(seen, np.array([0]), push, table)
-        return sum(f.size for f in levels) == g.n
+        return sum(len(f) for f in _sweep(seen, [0], rows, table)) == g.n
 
-    if not reaches_all(lambda f: g.endpoints.take(f, axis=0).ravel()):
+    if not reaches_all(_OutRows(g.endpoints)):
         return False
-    reverse = g.reverse_table[0]
-    return reaches_all(lambda f: _in_arcs(reverse, f, g.n), g.endpoints)
+    return reaches_all(_InRows(g.reverse_table[0], g.n), g.endpoints)
 
 
 def has_indegree_zero_vertex(g: KOutDigraph) -> bool:

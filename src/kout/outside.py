@@ -35,6 +35,7 @@ from .decompose import (
     _local,
     _rest,
     _scc_labels,
+    _stable_order,
 )
 from .digraph import KOutDigraph, _indegree
 from .errors import ComponentCapError, CycleCapError
@@ -141,7 +142,12 @@ def enumerate_cycles(view: OutsideView) -> tuple[list[list[int]], bool]:
     ``CYCLE_CAP`` cycles; the limit laws make the count O_p(1), so hitting the
     cap flags a pathological instance rather than silently truncating.
     """
-    src, dst = view.arcs()
+    return _cycles(view, view.arcs())
+
+
+def _cycles(view: OutsideView, arcs: tuple[np.ndarray, np.ndarray]) -> tuple[list[list[int]], bool]:
+    """``enumerate_cycles`` given the view's ``arcs()``."""
+    src, dst = arcs
     # self-loops: length-1 cycles, one per vertex regardless of multiplicity
     found: list[tuple[int, ...]] = [(v,) for v in np.unique(src[src == dst]).tolist()]
     # longer cycles live inside the view's nontrivial SCCs, on the simple graph
@@ -174,11 +180,12 @@ class _ScanResult(NamedTuple):
     excess: np.ndarray
 
 
-def _scan(view: OutsideView) -> _ScanResult:
-    """Forward closure of every view vertex, as one level-synchronous BFS over
-    (source, vertex) pairs.  Whp the view is mostly tree-like, so the
-    closures are tiny (about 1.7 vertices each on average at n = 10^6,
-    k = 2), and the scan costs about as much as one BFS over the view.
+def _scan(view: OutsideView, arcs: tuple[np.ndarray, np.ndarray] | None = None) -> _ScanResult:
+    """Forward closure of every view vertex (``arcs``, when given, is its
+    ``arcs()``), as one level-synchronous BFS over (source, vertex) pairs.
+    Whp the view is mostly tree-like, so the closures are tiny (about 1.7
+    vertices each on average at n = 10^6, k = 2), and the scan costs about
+    as much as one BFS over the view.
 
     A pair (s, x) can come up twice only if x is a merge vertex: one with two
     in-arcs in the view (parallel arcs count), a self-loop, or a place in a
@@ -198,7 +205,7 @@ def _scan(view: OutsideView) -> _ScanResult:
     """
     m, table = view.size, view.table
     k = table.shape[1]
-    tails, heads = view.arcs()
+    tails, heads = view.arcs() if arcs is None else arcs
     outdeg = np.bincount(tails, minlength=m)
     sources = np.flatnonzero(outdeg)  # the rest keep a singleton spectrum
     if outdeg.max(initial=0) > 1:
@@ -312,15 +319,20 @@ def longest_path(view: OutsideView) -> int:
     exactly by exhaustive search over its simple paths, which errors out above
     ``SCC_SIZE_CAP`` vertices.
     """
+    return _longest_path(view, view.arcs())
+
+
+def _longest_path(view: OutsideView, arcs: tuple[np.ndarray, np.ndarray]) -> int:
+    """``longest_path`` given the view's ``arcs()``."""
     if view.size == 0:
         return 0
-    src, dst = view.arcs()
+    src, dst = arcs
     cross = view.comp[src] != view.comp[dst]
     src, dst = src.compress(cross), dst.compress(cross)
     level = view.height[view.comp[src]]
-    by_level = np.argsort(level, kind="stable")
-    src, dst = src[by_level], dst[by_level]
     top = int(view.height[-1])
+    by_level = _stable_order(level, top)
+    src, dst = src[by_level], dst[by_level]
     bounds = np.searchsorted(level[by_level], np.arange(top + 2)).tolist()
     nontrivial: dict[int, list[list[int]]] = {}
     for c, members in _nontrivial(np.arange(view.size), view.comp).items():
@@ -413,21 +425,23 @@ def outside_report(
         raise ValueError(f"unknown collect groups: {sorted(unknown)}")
     view = dec.view
     rep = OutsideReport()
+    # one arc list for the cycles, the scan and the longest path
+    arcs = view.arcs() if collect & {"cycles", "spectra"} else None
 
     if "cycles" in collect:
-        rep.cycles, rep.vertex_disjoint = enumerate_cycles(view)
+        rep.cycles, rep.vertex_disjoint = _cycles(view, arcs)
         rep.cycles_by_length = dict(Counter(len(c) for c in rep.cycles))
         rep.total_cycles = len(rep.cycles)
         rep.longest_cycle = max(rep.cycles_by_length, default=0)
 
     if "spectra" in collect:
-        scan = _scan(view)
+        scan = _scan(view, arcs)
         rep.spectra_sizes = scan.sizes
         rep.max_spectrum = int(scan.sizes.max(initial=0))
         rep.arc_excess_violations = int((scan.excess >= 1).sum())
         rep.d = int(scan.eccs.max(initial=0))
         rep.max_full_spectrum, rep.spectrum_of_zero = _full_spectra(g, dec, scan)
-        rep.m = longest_path(view)
+        rep.m = _longest_path(view, arcs)
 
     if "distances" in collect:
         rep.w, rep.w_unreachable = _giant_distances(view)

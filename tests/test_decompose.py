@@ -17,7 +17,8 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from conftest import digraph_from_rows, endpoint_tables
 from kout.decompose import (
-    _rows,
+    _CsrRows,
+    _OutRows,
     _scc_labels,
     _sweep,
     condense,
@@ -29,7 +30,7 @@ from kout.decompose import (
 )
 from kout.digraph import KOutDigraph, RngSpec, _indegree, _reverse_tails, _row_pointers, generate
 from kout.oracle import brute_cycles, brute_giant, brute_one_in_core, brute_scc_sets
-from kout.outside import outside_view
+from kout.outside import distance_to_giant, longest_path, outside_view
 
 decompose_module = importlib.import_module("kout.decompose")
 
@@ -530,23 +531,40 @@ def test_decompose_sees_a_strong_closure_on_an_int32_table():
 # The backward sweep from v over the forward closure F of v: pushes over the
 # reverse CSR while the frontier is the shorter list, pulls over the
 # out-table once the rows of F still waiting are.  Its levels and marks must
-# be those of a push-only sweep, for every start vertex.
-def _levels(seen: np.ndarray, v: int, push, table=None) -> list[list[int]]:
-    return [f.tolist() for f in _sweep(seen, np.array([v]), push, table)]
+# be those of a push-only sweep, for every start vertex, and both must be
+# the levels of a plain BFS, whether every push is a numpy step (THIN = 0)
+# or a scalar one (THIN = n).
+def _levels(seen: np.ndarray, v: int, rows, table=None) -> list[list[int]]:
+    return [np.asarray(f).tolist() for f in _sweep(seen, [v], rows, table)]
+
+
+def _brute_levels(succ: list[list[int]], v: int, allowed: set[int]) -> list[list[int]]:
+    levels, seen = [[v]], {v}
+    while levels[-1]:
+        levels.append(sorted({u for x in levels[-1] for u in succ[x] if u in allowed} - seen))
+        seen.update(levels[-1])
+    return levels[:-1]
 
 
 def _assert_sweep_back_matches_push(endpoints: np.ndarray) -> None:
     n = endpoints.shape[0]
     indptr, tails = _row_pointers(_indegree(endpoints)), _reverse_tails(endpoints, np.int64)
-    for v in range(n):
-        closure = np.zeros(n, dtype=bool)
-        _levels(closure, v, lambda f: endpoints.take(f, axis=0).ravel())
-        want, got = ~closure, ~closure
-        want_levels = _levels(want, v, lambda f: _rows(indptr, tails, f))
-        got_levels = _levels(got, v, lambda f: _rows(indptr, tails, f), endpoints)
+    rev = _CsrRows(indptr, tails)
+    succ = endpoints.tolist()
+    pred = [np.flatnonzero((endpoints == u).any(axis=1)).tolist() for u in range(n)]
+    for thin, v in itertools.product((0, n), range(n)):
+        with mock.patch.object(decompose_module, "THIN", thin):
+            closure = np.zeros(n, dtype=bool)
+            forward = _levels(closure, v, _OutRows(endpoints))
+            want, got = ~closure, ~closure
+            want_levels = _levels(want, v, rev)
+            got_levels = _levels(got, v, rev, endpoints)
+        assert forward == _brute_levels(succ, v, set(range(n))), (endpoints.tolist(), v, thin)
         assert np.array_equal(got, want), (endpoints.tolist(), v)
         assert got.all() == want.all()
         assert got_levels == want_levels, (endpoints.tolist(), v)
+        inside = set(np.flatnonzero(closure).tolist())
+        assert want_levels == _brute_levels(pred, v, inside), (endpoints.tolist(), v, thin)
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (2, 3), (4, 1)])
@@ -585,8 +603,10 @@ def test_sweep_back_matches_push_on_k1_chains(rows):
 @contextlib.contextmanager
 def _sweep_rounds():
     """Spies on decompose's sweeps: per call of ``_sweep`` with a table, in
-    call order, the table and the kind of each round, "push" or "pull"."""
+    call order, the table and the kind of each round, "push" or "pull"; a
+    scalar step over the reverse CSR (``_CsrRows.heads``) counts as a push."""
     sweep, rows, by_row = decompose_module._sweep, decompose_module._rows, decompose_module._by_row
+    heads = _CsrRows.heads
     calls: list[tuple[np.ndarray, list[str]]] = []
     active: list[list[str]] = []  # the rounds of the sweep now running
 
@@ -610,6 +630,11 @@ def _sweep_rounds():
             active[-1].append("push")
         return rows(*args)
 
+    def scalar(self, front):
+        if active:
+            active[-1].append("push")
+        return heads(self, front)
+
     def pull(ufunc, *args):
         if active and ufunc is np.logical_or:
             active[-1].append("pull")
@@ -618,6 +643,7 @@ def _sweep_rounds():
     with (
         mock.patch.object(decompose_module, "_sweep", spy),
         mock.patch.object(decompose_module, "_rows", push),
+        mock.patch.object(_CsrRows, "heads", scalar),
         mock.patch.object(decompose_module, "_by_row", pull),
     ):
         yield calls
@@ -674,6 +700,88 @@ def test_forward_backward_rounds_on_nested_closures_match_brute(rows, rounds):
     assert frozenset(d.one_in_core.tolist()) == brute_one_in_core(rows)
     assert_heights_match_brute(d, rows)
     assert d.view.dist.tolist() == brute_distances(rows, {len(rows) - 1})
+
+
+def _assert_decomposition_matches_brute(g, rows):
+    d = decompose(g)
+    _, members = scc(g)
+    assert sorted(tuple(m.tolist()) for m in members) == sorted(
+        tuple(sorted(c)) for c in brute_scc_sets(rows)
+    )
+    assert frozenset(d.giant.tolist()) == brute_giant(rows)
+    assert frozenset(d.one_in_core.tolist()) == brute_one_in_core(rows)
+    assert_heights_match_brute(d, rows)
+    assert d.view.dist.tolist() == brute_distances(rows, set(d.giant.tolist()))
+
+
+def test_scalar_and_numpy_sweeps_decompose_as_the_brute_oracles_do():
+    # THIN = 0 runs every push of every sweep as a numpy step, THIN = n as a
+    # scalar one: the forward closures, the backward checks and the distance
+    # sweep of the view's core vertices; the last table is Fortran-ordered
+    gen = np.random.default_rng(33)
+    tables = [gen.integers(0, n, size=(n, k)) for n, k in gen.integers(1, [14, 4], size=(60, 2))]
+    tables += [_chain(13), _ladder(3), np.asfortranarray(gen.integers(0, 13, size=(13, 3)))]
+    for ep in map(np.asarray, tables):
+        g, rows = KOutDigraph(*ep.shape, ep), ep.tolist()
+        for thin in (0, g.n):
+            with mock.patch.object(decompose_module, "THIN", thin):
+                _assert_decomposition_matches_brute(g, rows)
+
+
+def _long_cycle(length: int) -> list[tuple[int, int]]:
+    """k = 2: a cycle of ``length`` vertices with parallel arcs whose last
+    vertex's second arc enters a closed 3-cycle."""
+    rows = [(v + 1, v + 1) for v in range(length - 1)] + [(0, length)]
+    return rows + [(length + 1,) * 2, (length + 2,) * 2, (length,) * 2]
+
+
+@pytest.mark.parametrize(
+    "rows, height, dist",
+    [
+        # the cycle is one component of height 1, at distance L - v from the 3-cycle
+        (_long_cycle(3000), [1] * 3000 + [0] * 3, list(range(3000, 0, -1))),
+        # every vertex is a component of its own, at height and distance L - 1 - i
+        (_chain(3000), list(range(2999, -1, -1)), list(range(2999, 0, -1))),
+    ],
+    ids=["long-cycle", "chain"],
+)
+def test_long_paths_take_no_numpy_step_per_level(rows, height, dist):
+    # every level of every sweep on these inputs holds one vertex: the
+    # forward closures, the backward checks and the distance sweep of the
+    # view's core (in decompose and once more in distance_to_giant) each run
+    # up to 3000 levels, all scalar steps but for a few pulls at the end of a
+    # backward check (THIN = 0 makes each level a numpy push)
+    g = digraph_from_rows(rows)
+    pushes, ors = [], []
+    by_row = decompose_module._by_row
+
+    def pull(ufunc, *args):
+        if ufunc is np.logical_or:
+            ors.append(args[0].shape[0])
+        return by_row(ufunc, *args)
+
+    def numpy_step(push):
+        def step(self, front):
+            pushes.append(len(front))
+            return push(self, front)
+
+        return step
+
+    with (
+        mock.patch.object(_OutRows, "push", numpy_step(_OutRows.push)),
+        mock.patch.object(_CsrRows, "push", numpy_step(_CsrRows.push)),
+        mock.patch.object(decompose_module, "_by_row", pull),
+    ):
+        d = decompose(g)
+        w = distance_to_giant(g, d.giant)
+    assert pushes == []
+    # the pulls, and the masks of the rows with an arc out of a view's core
+    # (_core_levels) and with one that stays in the view (_rest), twice each
+    assert len(ors) <= 8, ors
+    assert d.height[d.scc_id].tolist() == height
+    assert d.view.dist.tolist() == dist and tuple(w) == (dist[0], 0)
+    assert d.one_in_core.size == g.n
+    assert d.giant.tolist() == np.flatnonzero(np.array(height) == 0).tolist()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -811,3 +919,25 @@ def test_library_runs_and_prints_the_same_without_scipy(monkeypatch):
         exec(_FRESH_PRELUDE + _LABELLING_CALLS, {})
     assert "scipy" in sys.modules
     assert _without_elapsed(proc.stdout) == _without_elapsed(here.getvalue())
+
+
+def test_heights_past_uint16_sort_as_the_brute_order():
+    # k = 1: the chain i -> i + 1 of 2**16 + 1 vertices, the last absorbing,
+    # so the heights run up to 2**16 and sort as uint32; vertices a and b
+    # enter vertex 0 (height 2**16 + 1 each, a tie), c enters vertex 1 (a
+    # tie with vertex 0 at 2**16)
+    length = 2**16 + 1
+    a, b, c = length, length + 1, length + 2
+    rows = [(min(i + 1, length - 1),) for i in range(length)] + [(0,), (0,), (1,)]
+    height = list(range(length - 1, -1, -1)) + [length, length, length - 1]
+    # ids by (height, smallest label): one singleton per vertex
+    order = sorted(range(len(rows)), key=lambda v: (height[v], v))
+    ids = [0] * len(rows)
+    for i, v in enumerate(order):
+        ids[v] = i
+    d = decompose(digraph_from_rows(rows))
+    assert d.scc_id.tolist() == ids and d.height[d.scc_id].tolist() == height
+    assert ids[c] == ids[0] + 1 and ids[b] == ids[a] + 1 == len(rows) - 1
+    view = d.view
+    assert view.comp.tolist() == [ids[v] - 1 for v in view.vertices.tolist()]
+    assert longest_path(view) == length - 1  # a -> 0 -> 1 -> ... -> length - 2

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -12,16 +13,17 @@ from kout import digraph
 from kout.decompose import _distinct, giant, one_in_core
 from kout.digraph import KOutDigraph, RngSpec, generate
 from kout.distance import (
-    _in_arcs,
+    _InRows,
     _PairSearch,
     has_indegree_zero_vertex,
     is_strongly_connected,
     phase_sweep,
     typical_distance,
 )
-from kout.oracle import brute_distance
+from kout.oracle import _bfs, brute_distance
 
 distance = importlib.import_module("kout.distance")
+decompose_module = importlib.import_module("kout.decompose")
 
 
 def test_typical_distance_3cycle(rows_3cycle):
@@ -183,34 +185,33 @@ def ladder(layers):
 
 def spy_on_expansions(search, monkeypatch):
     """Record (front entries, reached entries) of every expansion of either
-    side of ``search``, the backward side's padding and continuation rows
-    counted, failing at once on more than n * k entries (so that a level
-    growing without bound stops the test, not the host)."""
+    side of ``search``, numpy and scalar steps alike, the backward side's
+    padding and continuation rows counted, failing at once on more than
+    n * k entries (so that a level growing without bound stops the test, not
+    the host)."""
     sizes = []
-    limit = search.endpoints.size
+    limit = search.n * search.cost[0]
 
-    class Table:
-        def take(self, front, axis):
-            reached = table.take(front, axis=axis)
-            sizes.append((front.size, reached.size))
-            assert reached.size <= limit, sizes
+    def spy(read):
+        def expand(front):
+            reached = read(front)
+            sizes.append((len(front), len(reached)))
+            assert len(reached) <= limit, sizes
             return reached
 
-    def in_arcs(reverse, front, n):
-        reached = _in_arcs(reverse, front, n)
-        sizes.append((front.size, reached.size))
-        assert reached.size <= limit, sizes
-        return reached
+        return expand
 
-    table = search.endpoints
-    monkeypatch.setattr(search, "endpoints", Table())
-    monkeypatch.setattr(distance, "_in_arcs", in_arcs)
+    for rows in search.rows:
+        monkeypatch.setattr(rows, "push", spy(rows.push))
+        monkeypatch.setattr(rows, "heads", spy(rows.heads))
     return sizes
 
 
 def test_ladder_levels_stay_within_n_k_entries(monkeypatch):
     # without deduplication a level of the ladder would double every step:
-    # 2**12 entries where the two sides meet, against n * k = 96
+    # 2**12 entries where the two sides meet, against n * k = 96.  Scalar
+    # steps deduplicate as they mark, so only numpy steps keep repeats
+    monkeypatch.setattr(decompose_module, "THIN", 0)
     rows = ladder(24)
     g = digraph_from_rows(rows)
     search = _PairSearch(g)
@@ -224,7 +225,9 @@ def test_ladder_levels_stay_within_n_k_entries(monkeypatch):
 
 def test_a_search_does_o_of_n_k_work_on_a_long_ladder(monkeypatch):
     # levels that each stay under n entries would still cost about n entries
-    # every log2 n levels along a ladder of n / 2 layers
+    # every log2 n levels along a ladder of n / 2 layers (numpy steps, which
+    # keep repeats)
+    monkeypatch.setattr(decompose_module, "THIN", 0)
     g = digraph_from_rows(ladder(1000))
     search = _PairSearch(g)
     sizes = spy_on_expansions(search, monkeypatch)
@@ -238,7 +241,9 @@ def test_backward_expansion_stays_within_n_k_entries_at_a_hub(monkeypatch):
     # 1000 each, so the backward level holding 0 and 1 lists each 256 times;
     # src roots a binary tree of depth 10 whose levels stay wider than the
     # backward ones, so the backward side does reach the hub (and no further:
-    # the tree's leaves lead back to src and the pair is unreachable)
+    # the tree's leaves lead back to src and the pair is unreachable); numpy
+    # steps, which keep repeats
+    monkeypatch.setattr(decompose_module, "THIN", 0)
     rows = [row if i < 18 else (i, i) for i, row in enumerate(ladder(10))]
     tree = len(rows)
     rows += [(tree + 2 * i + 1, tree + 2 * i + 2) for i in range(2**10 - 1)]
@@ -306,3 +311,127 @@ def test_continuation_rows_give_brute_distances_and_strong_connectivity(k):
         assert outcomes[-1] == (ncomp == 1), k
         assert not has_indegree_zero_vertex(g) or not outcomes[-1]
     assert outcomes == ([False] if k == 1 else [False, True, False])
+
+
+def _brute_all_pairs(rows):
+    """brute_distance of every ordered pair, one BFS per source."""
+    n = len(rows)
+    return [[reach.get(dst) for dst in range(n)] for reach in (_bfs(rows, src) for src in range(n))]
+
+
+def _search_all_pairs(search, n):
+    got = [[search(src, dst) for dst in range(n)] for src in range(n)]
+    assert not search.marks[:n].any() and search.marks[n] == -1
+    return got
+
+
+def _parity_tables():
+    """Random k = 1..3 tables, the hub tables and a Fortran-ordered table."""
+    gen = np.random.default_rng(33)
+    tables = [gen.integers(0, n, size=(n, k)) for n, k in gen.integers(1, [40, 4], size=(30, 2))]
+    tables += [ep for k in (1, 2, 3) for ep in hub_tables(k)]
+    return tables + [np.asfortranarray(gen.integers(0, 30, size=(30, 3)))]
+
+
+def test_scalar_and_numpy_levels_give_brute_distances_and_strong_connectivity(monkeypatch):
+    # THIN = 0 runs every level of a search as a numpy step, THIN = n as a
+    # scalar one wherever the rows allow it; 600 of the pairs of a larger table
+    tables = _parity_tables()
+    assert not tables[-1].flags.c_contiguous
+    gen = np.random.default_rng(34)
+    for ep in tables:
+        n, k = ep.shape
+        g = KOutDigraph(n, k, ep)
+        assert g.endpoints.flags.c_contiguous == ep.flags.c_contiguous
+        want = _brute_all_pairs(ep.tolist())
+        pairs = list(itertools.product(range(n), repeat=2))
+        if len(pairs) > 600:
+            pairs = [pairs[i] for i in gen.choice(len(pairs), 600, replace=False)]
+        tails = np.repeat(np.arange(n), k)
+        mat = coo_matrix((np.ones(tails.size), (tails, ep.ravel())), shape=(n, n))
+        strong = connected_components(mat.tocsr(), directed=True, connection="strong")[0] == 1
+        for thin in (0, n):
+            monkeypatch.setattr(decompose_module, "THIN", thin)
+            search = _PairSearch(g)
+            for src, dst in pairs:
+                assert search(src, dst) == want[src][dst], (ep.tolist(), src, dst, thin)
+            # every vertex mark is reset, and the padding's slot still reads -1
+            assert not search.marks[:n].any() and search.marks[n] == -1
+            assert is_strongly_connected(g) == strong, (ep.tolist(), thin)
+
+
+def test_a_meet_midway_through_a_scalar_level_resets_every_mark(monkeypatch):
+    # forward levels {1, 2} and {3, 4, 5, 6}, backward level {9, 10}; the
+    # next forward level marks 7 (from 3) and 8 (from 4) before 5's head 9
+    # meets the backward ball: 0 -> 2 -> 5 -> 9 -> 11
+    monkeypatch.setattr(decompose_module, "THIN", 12)
+    rows = [(1, 2), (3, 4), (5, 6), (7, 7), (8, 8), (9, 9), (6, 6), (7, 7), (8, 8)]
+    rows += [(11, 11), (11, 11), (11, 11)]
+    search = _PairSearch(digraph_from_rows(rows))
+    touched = []
+    heads = search.rows[0].heads
+
+    def spy(front):
+        touched.append(list(front))
+        return heads(front)
+
+    monkeypatch.setattr(search.rows[0], "heads", spy)
+    assert search(0, 11) == 4 == brute_distance(rows, 0, 11)
+    assert touched == [[0], [1, 2], [3, 4, 5, 6]]
+    assert not search.marks[:12].any()
+    # a mark left on 7 or 8 would cut these short, or end them as met
+    assert _search_all_pairs(search, 12) == _brute_all_pairs(rows)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_pair_at_a_hub_reads_the_hub_chain_in_one_step(k, monkeypatch):
+    # the first hub table plus a tree of depth 3 and fan-out k, whose leaves
+    # point at the hub 0: from the root, the forward levels grow past the
+    # hub's one row before they reach it, so the backward side expands the
+    # hub, all of whose in-arcs (a chain of at least 10 continuation rows)
+    # come up at once.  Every pair takes as many expansions as its distance
+    # (the last one meets), and each numpy step of the backward side reads
+    # the reverse table once for the first rows of its front and once for
+    # each whole chain, not once per continuation row
+    ep = hub_tables(k)[0]
+    n = root = ep.shape[0]
+    tree = [[root + k * i + j + 1 for j in range(k)] for i in range((k**3 - 1) // (k - 1))]
+    rows = ep.tolist() + tree + [[0] * k] * k**3
+    g = digraph_from_rows(rows)
+    search = _PairSearch(g)
+    reverse = search.rows[1]
+    table, reads, chains, expansions = reverse.table, [], [], []
+    assert table.shape[0] - g.n - 1 >= 10
+
+    class Counting:
+        def take(self, *args, **kwargs):
+            reads[-1] += 1
+            return table.take(*args, **kwargs)
+
+        def __getitem__(self, key):
+            reads[-1] += 1
+            return table[key]
+
+    def spy(read, counts):
+        def expand(front):
+            if counts:
+                reads.append(0)
+                chains.append(int((table[front, -1] > g.n).sum()))
+            reached = read(front)
+            expansions[-1] += reached is not None  # None: a numpy step follows
+            return reached
+
+        return expand
+
+    monkeypatch.setattr(reverse, "table", Counting())
+    for side in search.rows:
+        monkeypatch.setattr(side, "push", spy(side.push, side is reverse))
+        monkeypatch.setattr(side, "heads", spy(side.heads, False))
+    for src in [root] + list(range(n)):
+        expansions.append(0)
+        d = search(src, 0)
+        assert d == brute_distance(rows, src, 0), src
+        if d:
+            assert expansions[-1] == d, src
+    assert search.marks[:-1].sum() == 0
+    assert chains[0] == 1 and reads == [1 + c for c in chains], (reads, chains)

@@ -646,3 +646,20 @@ def test_report_rejects_unknown_collect_group():
     g = generate(30, 2, RngSpec(1))
     with pytest.raises(ValueError, match=r"unknown collect groups: \['core'\]"):
         outside_report(g, decompose(g), collect=frozenset({"cycles", "core"}))
+
+
+def test_outside_report_builds_one_arc_list():
+    # the cycles, the scan and the longest path share the view's arc list
+    g = generate(2000, 2, RngSpec(13, 7))
+    d = decompose(g)
+    arcs = outside.OutsideView.arcs
+    with mock.patch.object(outside.OutsideView, "arcs", autospec=True, side_effect=arcs) as spy:
+        rep = outside_report(g, d)
+    assert spy.call_count == 1 and spy.call_args.args[0] is d.view
+    cycles, disjoint = enumerate_cycles(d.view)
+    sizes, largest, violations = spectra(d.view)
+    assert (rep.cycles, rep.vertex_disjoint) == (cycles, disjoint) and rep.total_cycles > 0
+    assert np.array_equal(rep.spectra_sizes, sizes) and rep.max_spectrum == largest
+    assert rep.arc_excess_violations == violations
+    assert rep.m == longest_path(d.view) > 0
+    assert (rep.max_full_spectrum, rep.spectrum_of_zero) == max_full_spectrum(g, d)
