@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -111,9 +112,11 @@ class OutsideView:
     def size(self) -> int:
         return self.vertices.size
 
+    @cached_property
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """(source, target) local ids of every arc that stays in the view, in
-        (source, label) order."""
+        (source, label) order: listed on first use and kept, so the cycles,
+        the scan and the longest path share one list."""
         heads = self.table.ravel()
         at = np.flatnonzero(heads < self.size)
         return at // self.table.shape[1], heads.take(at)

@@ -43,7 +43,7 @@ __all__ = [
 
 MAGIC = b"KOUT1"
 SIMPLE_ATTEMPT_CAP = 1_000_000
-REVERSE_BLOCK = 2**13  # rows or keys per step of the reverse table's build
+REVERSE_BLOCK = 2**13  # keys per step of the reverse table's build
 
 
 def _check_int(name: str, value, minimum: int = 0, bits: int | None = None) -> int:
@@ -172,21 +172,13 @@ def _reverse_keys(endpoints: np.ndarray, rows: np.ndarray | None = None) -> tupl
     rows the same way for less (``BENCH_22.json``, ``reverse_tails_1e6``)."""
     n = endpoints.shape[0]
     s = (n - 1).bit_length()
-    if rows is None:
-        keys = np.left_shift(endpoints, s, dtype=np.int64)
-        # the tails ``REVERSE_BLOCK`` rows and one column at a time: a
-        # broadcast over the short last axis took twice as long (4.0 against
-        # 2.1 ms at n = 10^6, k = 2, ``BENCH_31.json``)
-        for a in range(0, n, REVERSE_BLOCK):
-            tails = np.arange(a, min(a + REVERSE_BLOCK, n))
-            for column in keys[a : a + REVERSE_BLOCK].T:
-                column |= tails
-    else:
-        keys = np.left_shift(endpoints.take(rows, axis=0), s, dtype=np.int64)
-        # one column at a time: 4.7 against 7.2 ms for a broadcast over the
-        # 796,000 core rows at n = 10^6, k = 2 (``BENCH_33.json``, ``micro``)
-        for column in keys.T:
-            column |= rows
+    keys = np.left_shift(endpoints if rows is None else endpoints.take(rows, axis=0), s, dtype=np.int64)
+    tails = np.arange(n, dtype=endpoints.dtype) if rows is None else rows
+    # the tails one column at a time: 4.7 against 7.2 ms for a broadcast over
+    # the 796,000 core rows at n = 10^6, k = 2 (``BENCH_33.json``, ``micro``);
+    # the sort takes most of the time (``BENCH_34.json``, ``keys``)
+    for column in keys.T:
+        column |= tails
     keys = keys.ravel()
     keys.sort()
     return keys, s
@@ -204,13 +196,15 @@ def _reverse_table(endpoints: np.ndarray) -> tuple[np.ndarray, int]:
     in-degree d takes ceil(d / 3k) - 1 continuation rows, so there are at
     most n / 3 of them.  The table is in the index dtype of its own shape.
 
-    Everything comes from the sorted keys of ``_reverse_keys``, read
-    ``REVERSE_BLOCK`` at a time: one pass finds the vertices of in-degree
-    above 3k, and one scatters each tail to its cell, counting the keys of
-    each head in the block for the place of its first key.  So the build
-    holds the table, the keys and block-sized arrays, and no in-degree count
-    (``BENCH_31.json``: 45 against 32 MB of tracemalloc peak for the reverse
-    CSR at n = 10^6, k = 2)."""
+    Everything comes from the sorted keys of ``_reverse_keys``: one pass,
+    ``REVERSE_BLOCK`` keys at a time, finds the vertices of in-degree above
+    3k, and one scatters the tails of ``REVERSE_BLOCK // k`` vertices at a
+    time, about ``REVERSE_BLOCK`` keys.  A block holds every key of its
+    heads, so a key's rank among its head's keys, and with it its cell,
+    comes from the block alone, and nothing is carried from one block to
+    the next.  So the build holds the table, the keys and block-sized
+    arrays, and no in-degree count (``BENCH_31.json``: 45 against 32 MB of
+    tracemalloc peak for the reverse CSR at n = 10^6, k = 2)."""
     n, k = endpoints.shape
     slots, width = 3 * k, 3 * k + 1
     keys, s = _reverse_keys(endpoints)
@@ -221,43 +215,32 @@ def _reverse_table(endpoints: np.ndarray) -> tuple[np.ndarray, int]:
         heavy.append(heads[slots:].compress(heads[slots:] == heads[:-slots]))
     heavy = np.concatenate(heavy)
     heavy = heavy.compress(np.diff(heavy, prepend=-1) != 0)
-    start = np.searchsorted(keys, heavy << s)
-    more = np.searchsorted(keys, (heavy + 1) << s) - start - slots  # the tails past a heavy row
-    chain = (more + slots - 1) // slots  # the continuation rows they take
+    more = np.searchsorted(keys, (heavy + 1) << s) - np.searchsorted(keys, heavy << s) - slots
+    chain = (more + slots - 1) // slots  # the continuation rows of the tails past a heavy row
     first = n + 1 + np.cumsum(chain) - chain
     rows = n + 1 + int(chain.sum())
     table = np.full((rows, width), n, dtype=_index_dtype(rows, width))
     table[heavy, slots] = first
     table[n + 1 :, slots] = np.arange(n + 2, rows + 1)
     table[first + chain - 1, slots] = n
-    # tail q past the first row goes to slot q % 3k of continuation row q // 3k
-    q = np.arange(more.sum()) - np.repeat(np.cumsum(more) - more, more)
-    spill = np.repeat(start + slots, more) + q
-    cell = np.repeat(first * width, more) + q + q // slots
-    flat, at = table.reshape(-1), np.arange(min(REVERSE_BLOCK, keys.size))
-    tails = np.empty(at.size, dtype=table.dtype)
-    head, place = -1, 0  # the last head of the block before, and its first key's place
-    for lo in range(0, keys.size, REVERSE_BLOCK):
-        block = keys[lo : lo + REVERSE_BLOCK]
-        low = int(block[0] >> s)
+    flat, step = table.reshape(-1), max(REVERSE_BLOCK // k, 1)
+    bounds = np.searchsorted(keys, np.arange(0, n + step, step) << s).tolist()
+    for a, lo, hi in zip(range(0, n, step), bounds, bounds[1:]):
+        block = keys[lo:hi]
         heads = block >> s
-        heads -= low
+        heads -= a
         count = np.bincount(heads)
-        # the place of the first key of each head, or of the block's first
-        # head, carried over when its keys began in the block before
-        first_key = np.cumsum(count)
-        first_key += lo - count
-        if low == head:
-            first_key[0] = place
-        head, place = low + count.size - 1, int(first_key[-1])
-        # tail i of vertex v goes to cell v * width + i while i < 3k
-        step = np.arange(low * width + lo, (low + count.size) * width + lo, width)
-        step -= first_key
-        dest = step[heads]
-        dest += at[: block.size]
-        i, j = np.searchsorted(spill, (lo, lo + block.size))
-        dest[spill[i:j] - lo] = cell[i:j]
-        flat[dest] = np.bitwise_and(block, (1 << s) - 1, out=tails[: block.size], casting="unsafe")
+        # q, the rank of each key among its head's keys: tail q < 3k of
+        # vertex v goes to cell v * width + q
+        q = np.arange(block.size) - (np.cumsum(count) - count).take(heads)
+        heads += a
+        dest = heads * width + q
+        # and tail q >= 3k to slot (q - 3k) % 3k of row (q - 3k) // 3k of v's chain
+        spill = np.flatnonzero(q >= slots)
+        row, slot = np.divmod(q.take(spill) - slots, slots)
+        row += first.take(np.searchsorted(heavy, heads.take(spill)))
+        dest[spill] = row * width + slot
+        flat[dest] = np.bitwise_and(block, (1 << s) - 1)
     return table, width * (1 + int(chain.max(initial=0)))
 
 

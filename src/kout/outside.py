@@ -12,7 +12,10 @@ one from a digraph and its giant): cycle enumeration and the longest-path DP
 read its SCC labels, W and the unreached count its distances to the giant.
 Spectrum sizes, eccentricities, arc excess and the full-digraph spectra come
 from one scan of the view's forward closures (see ``_scan`` and
-``_full_spectra``).
+``_full_spectra``).  The cycles, the scan and the longest path read the
+view's arc list, ``OutsideView.arcs``, which the view builds on first read
+and keeps, so each statistic can be called on its own and none lists the
+arcs twice.
 
 The exact searches stop at the module constants ``CYCLE_CAP`` (cycles in the
 view) and ``SCC_SIZE_CAP`` (vertices of one nontrivial component in the
@@ -142,12 +145,7 @@ def enumerate_cycles(view: OutsideView) -> tuple[list[list[int]], bool]:
     ``CYCLE_CAP`` cycles; the limit laws make the count O_p(1), so hitting the
     cap flags a pathological instance rather than silently truncating.
     """
-    return _cycles(view, view.arcs())
-
-
-def _cycles(view: OutsideView, arcs: tuple[np.ndarray, np.ndarray]) -> tuple[list[list[int]], bool]:
-    """``enumerate_cycles`` given the view's ``arcs()``."""
-    src, dst = arcs
+    src, dst = view.arcs
     # self-loops: length-1 cycles, one per vertex regardless of multiplicity
     found: list[tuple[int, ...]] = [(v,) for v in np.unique(src[src == dst]).tolist()]
     # longer cycles live inside the view's nontrivial SCCs, on the simple graph
@@ -180,9 +178,9 @@ class _ScanResult(NamedTuple):
     excess: np.ndarray
 
 
-def _scan(view: OutsideView, arcs: tuple[np.ndarray, np.ndarray] | None = None) -> _ScanResult:
-    """Forward closure of every view vertex (``arcs``, when given, is its
-    ``arcs()``), as one level-synchronous BFS over (source, vertex) pairs.
+def _scan(view: OutsideView) -> _ScanResult:
+    """Forward closure of every view vertex, as one level-synchronous BFS
+    over (source, vertex) pairs.
     Whp the view is mostly tree-like, so the closures are tiny (about 1.7
     vertices each on average at n = 10^6, k = 2), and the scan costs about
     as much as one BFS over the view.
@@ -205,7 +203,7 @@ def _scan(view: OutsideView, arcs: tuple[np.ndarray, np.ndarray] | None = None) 
     """
     m, table = view.size, view.table
     k = table.shape[1]
-    tails, heads = view.arcs() if arcs is None else arcs
+    tails, heads = view.arcs
     outdeg = np.bincount(tails, minlength=m)
     sources = np.flatnonzero(outdeg)  # the rest keep a singleton spectrum
     if outdeg.max(initial=0) > 1:
@@ -319,14 +317,9 @@ def longest_path(view: OutsideView) -> int:
     exactly by exhaustive search over its simple paths, which errors out above
     ``SCC_SIZE_CAP`` vertices.
     """
-    return _longest_path(view, view.arcs())
-
-
-def _longest_path(view: OutsideView, arcs: tuple[np.ndarray, np.ndarray]) -> int:
-    """``longest_path`` given the view's ``arcs()``."""
     if view.size == 0:
         return 0
-    src, dst = arcs
+    src, dst = view.arcs
     cross = view.comp[src] != view.comp[dst]
     src, dst = src.compress(cross), dst.compress(cross)
     level = view.height[view.comp[src]]
@@ -425,23 +418,21 @@ def outside_report(
         raise ValueError(f"unknown collect groups: {sorted(unknown)}")
     view = dec.view
     rep = OutsideReport()
-    # one arc list for the cycles, the scan and the longest path
-    arcs = view.arcs() if collect & {"cycles", "spectra"} else None
 
     if "cycles" in collect:
-        rep.cycles, rep.vertex_disjoint = _cycles(view, arcs)
+        rep.cycles, rep.vertex_disjoint = enumerate_cycles(view)
         rep.cycles_by_length = dict(Counter(len(c) for c in rep.cycles))
         rep.total_cycles = len(rep.cycles)
         rep.longest_cycle = max(rep.cycles_by_length, default=0)
 
     if "spectra" in collect:
-        scan = _scan(view, arcs)
+        scan = _scan(view)
         rep.spectra_sizes = scan.sizes
         rep.max_spectrum = int(scan.sizes.max(initial=0))
         rep.arc_excess_violations = int((scan.excess >= 1).sum())
         rep.d = int(scan.eccs.max(initial=0))
         rep.max_full_spectrum, rep.spectrum_of_zero = _full_spectra(g, dec, scan)
-        rep.m = _longest_path(view, arcs)
+        rep.m = longest_path(view)
 
     if "distances" in collect:
         rep.w, rep.w_unreachable = _giant_distances(view)

@@ -817,7 +817,7 @@ def _scipy_distances_to_sink(view) -> np.ndarray:
     BFS from a super-sink m over the reversed view, whose row v gets an arc
     from the sink once v has an arc into the giant."""
     m = view.size
-    tails, heads = view.arcs()
+    tails, heads = view.arcs
     into_sink = np.flatnonzero((view.table == m).any(axis=1))
     src = np.concatenate([heads, np.full(into_sink.size, m)])
     dst = np.concatenate([tails, into_sink])

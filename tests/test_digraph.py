@@ -3,6 +3,7 @@ import json
 import struct
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,6 +201,52 @@ def test_reverse_csr_matches_scipy_csc(endpoints):
     chain = -(-np.diff(indptr).clip(1) // (3 * k))
     assert table.shape[0] == n + 1 + int((chain - 1).sum())
     assert widest == (3 * k + 1) * int(chain.max())
+
+
+def _assert_reverse_table(endpoints):
+    """The reverse table holds scipy's CSC of the out-table, ``widest`` is the
+    widest chain of rows, and the keys of all rows are those of every row
+    listed by id."""
+    n, k = endpoints.shape
+    csc = csr_matrix(
+        (np.ones(n * k, dtype=np.int8), endpoints.ravel(), np.arange(0, n * k + 1, k)),
+        shape=(n, n),
+    ).tocsc()
+    table, widest = KOutDigraph(n, k, endpoints).reverse_table
+    got = _read_back(table, n)
+    assert [len(r) for r in got] == np.diff(csc.indptr).tolist()
+    assert [t for r in got for t in r] == csc.indices.tolist()
+    chain = -(-np.diff(csc.indptr).clip(1) // (3 * k))
+    assert widest == (3 * k + 1) * int(chain.max())
+    keys, s = digraph._reverse_keys(endpoints)
+    listed, t = digraph._reverse_keys(endpoints, np.arange(n))
+    assert s == t and np.array_equal(keys, listed)
+
+
+@settings(max_examples=40)
+@given(endpoint_tables(max_n=12, max_k=3))
+def test_reverse_table_is_the_same_at_every_block_size(rows):
+    # the build reads REVERSE_BLOCK at call time; blocks of one key or a few
+    # put block edges inside and between the tails of every vertex
+    endpoints = np.asarray(rows, dtype=np.int64)
+    for block in (1, 2, 3, 5, 8):
+        with mock.patch.object(digraph, "REVERSE_BLOCK", block):
+            _assert_reverse_table(endpoints)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reverse_table_hubs_at_block_edges(k):
+    # three quarters of the rows point at the hubs, whose tails fill a chain
+    # of continuation rows and span several blocks of keys; the hubs sit on
+    # the first and the last vertex of a block of REVERSE_BLOCK // k vertices
+    n, gen = 24, np.random.default_rng(k)
+    for block in (1, 2, 3, 5, 8):
+        step = max(block // k, 1)
+        for hubs in ([0], [step - 1], [step], [n - 1], [step - 1, step]):
+            endpoints = gen.integers(0, n, size=(n, k))
+            endpoints[: 3 * n // 4] = np.resize(hubs, (3 * n // 4, 1))
+            with mock.patch.object(digraph, "REVERSE_BLOCK", block):
+                _assert_reverse_table(endpoints)
 
 
 def test_one_head_table_is_a_chain_of_continuation_rows():
